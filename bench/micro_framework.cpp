@@ -1,7 +1,9 @@
 // google-benchmark microbenchmarks of the framework itself: the costs a
 // tuner pays per step (space decode, constraint check, simulated
 // evaluation, neighbor generation) and the analysis building blocks
-// (GBDT fit, PageRank iteration).
+// (GBDT fit and prediction, PageRank iteration). BM_GbdtFit draws
+// continuous features; BM_GbdtFitDiscrete and BM_GbdtPredictAll use
+// BAT-shaped discrete ones, the data the paper's analyses fit.
 //
 // The *Config / *Index pairs compare the seed Config-materializing hot
 // paths against the compiled index-space paths (CompiledSpace): neighbor
@@ -181,6 +183,51 @@ void BM_GbdtFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GbdtFit)->Arg(500)->Arg(2000);
+
+/// BAT-shaped data: six discrete parameters of 2 to 37 levels (the
+/// largest BAT parameter, hotspot's block_size_x, has 37) and a
+/// run-time-like target with an interaction and 2% noise.
+std::pair<ml::Matrix, std::vector<double>> discrete_dataset(std::size_t n) {
+  common::Rng rng(5);
+  const std::int64_t levels[6] = {2, 4, 8, 16, 32, 37};
+  ml::Matrix x(n, 6);
+  std::vector<double> y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t c = 0; c < 6; ++c) {
+      x(i, c) = static_cast<double>(16 * rng.uniform_int(1, levels[c]));
+    }
+    y[i] = std::exp(0.01 * x(i, 5) + 0.002 * x(i, 2) * x(i, 3)) *
+           rng.uniform(0.98, 1.02);
+  }
+  return {std::move(x), std::move(y)};
+}
+
+void BM_GbdtFitDiscrete(benchmark::State& state) {
+  const auto [x, y] = discrete_dataset(5000);
+  ml::GbdtParams params;
+  params.num_trees = 50;
+  for (auto _ : state) {
+    ml::GbdtRegressor model(params);
+    model.fit(x, y);
+    benchmark::DoNotOptimize(model.predict(x.row(0)));
+  }
+}
+BENCHMARK(BM_GbdtFitDiscrete)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+/// predict_all over 5000 rows with table8's 180 trees: the call
+/// permutation importance makes once per shuffled column.
+void BM_GbdtPredictAll(benchmark::State& state) {
+  const auto [x, y] = discrete_dataset(5000);
+  ml::GbdtParams params;
+  params.num_trees = 180;
+  ml::GbdtRegressor model(params);
+  model.fit(x, y);
+  for (auto _ : state) {
+    const auto predictions = model.predict_all(x);
+    benchmark::DoNotOptimize(predictions.data());
+  }
+}
+BENCHMARK(BM_GbdtPredictAll)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_PageRank(benchmark::State& state) {
   // Random DAG-ish graph with n nodes, ~8 out-edges each.

@@ -9,6 +9,7 @@
 #include "analysis/portability.hpp"
 #include "analysis/speedup.hpp"
 #include "core/runner.hpp"
+#include "io/dataset_repository.hpp"
 #include "kernels/all_kernels.hpp"
 
 namespace bat::analysis {
@@ -161,6 +162,36 @@ TEST(Importance, GemmSampleHasInformativeParams) {
   // reduction threshold.
   EXPECT_FALSE(report.important_params(0.05).empty());
   EXPECT_GT(report.importance_sum, 0.0);
+}
+
+TEST(Importance, ReportsArePinnedBitForBit) {
+  // pnpoly and dedisp on device 0 at 40 trees with default seeds. The
+  // GBDT behind Table VIII and Fig. 6 may get faster, but any change to
+  // these values changes the paper's tables and needs a stated reason.
+  struct Golden {
+    const char* kernel;
+    double r2;
+    std::vector<double> importance;
+  };
+  const std::vector<Golden> goldens{
+      {"pnpoly",
+       0x1.fd82433afdb2bp-1,
+       {0x1.6b865269e888p-8, 0x1.733113dd76c88p-2, 0x1.97b207154347dp+0,
+        0x1.53c8501a7e713p-4}},
+      {"dedisp",
+       0x1.76c4637697041p-1,
+       {0x1.01b95c5a417fbp-2, 0x1.1df8c41c8bc75p+0, 0x1.56ca81beeaed8p-1,
+        0x1.56c996c7cb5f3p-2, 0x1.255f5c698c8b4p-1, 0x0p+0,
+        0x1.1f0318d780af5p-6, 0x1.e5a0214ce1cbbp-5}}};
+  io::DatasetRepository repo;  // memory-only
+  ImportanceOptions options;
+  options.gbdt.num_trees = 40;
+  for (const auto& golden : goldens) {
+    const auto bench = kernels::make(golden.kernel);
+    const auto report = feature_importance(*repo.get(*bench, 0), options);
+    EXPECT_EQ(report.r2, golden.r2) << golden.kernel;
+    EXPECT_EQ(report.importance, golden.importance) << golden.kernel;
+  }
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI pipeline: docs link check, configure + build + ctest, an ASan/UBSan
 # build of the concurrency-critical tests (evaluator/backend batching,
-# the thread pool, the compiled index-space core and the session
-# journal), a TSan build of the service layer (concurrent sessions +
+# the thread pool, the compiled index-space core, the session journal
+# and the GBDT's histogram split finder), a TSan build of the service layer (concurrent sessions +
 # sharded cache + cluster cache + journal group commit), a kill -9
 # durability stage (a journaled server killed mid-grid must recover
 # every submitted session id and converge to the uninterrupted
@@ -53,7 +53,7 @@ echo "=== ctest ==="
 # (cd instead of --test-dir: the latter needs CTest >= 3.20, we support 3.16)
 (cd "${BUILD_DIR}" && ctest --output-on-failure -j "${JOBS}")
 
-echo "=== ASan/UBSan build of evaluator + thread-pool + compiled-space + io + json/net tests ==="
+echo "=== ASan/UBSan build of evaluator + thread-pool + compiled-space + io + json/net + ml tests ==="
 # common_json_test feeds the parser hostile input (truncations, nesting
 # bombs, bad escapes) and net_http_test malformed wire bytes — exactly
 # the binaries where ASan/UBSan have teeth.
@@ -67,12 +67,15 @@ SAN_DIR="${BUILD_DIR}-asan"
 # obs_metrics_test renders the Prometheus exposition from concurrently
 # mutated instruments; api_http_test walks the trace ring through the
 # JSON serializer — both read shared buffers a bad index would corrupt.
+# ml_test/analysis_test fit GBDTs through the flat (feature, bin)
+# histogram indexing, where an off-by-one reads a neighbouring
+# feature's bin and still yields plausible trees in a release build.
 SAN_TESTS=(core_backend_test core_dataset_evaluator_test
            common_thread_pool_test core_compiled_space_test
            io_dataset_test common_json_test net_http_test
            net_rate_limit_test cluster_test io_journal_test
            service_recovery_test jit_backend_test jit_artifact_cache_test
-           obs_metrics_test api_http_test)
+           obs_metrics_test api_http_test ml_test analysis_test)
 cmake -B "${SAN_DIR}" -S . -DCMAKE_BUILD_TYPE=Debug -DBAT_SANITIZE=ON
 cmake --build "${SAN_DIR}" -j "${JOBS}" --target "${SAN_TESTS[@]}"
 for t in "${SAN_TESTS[@]}"; do
