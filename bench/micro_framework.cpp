@@ -20,6 +20,7 @@
 
 #include "analysis/ffg.hpp"
 #include "analysis/pagerank.hpp"
+#include "api/api_server.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/backend.hpp"
@@ -35,6 +36,7 @@
 #include "net/http.hpp"
 #include "service/session_json.hpp"
 #include "service/sharded_cache.hpp"
+#include "service/tuning_service.hpp"
 
 namespace {
 
@@ -436,6 +438,31 @@ void BM_SessionResultToJson(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes));
 }
 BENCHMARK(BM_SessionResultToJson);
+
+// GET /v1/sessions/<id> of a finished tracked session with a 200-entry
+// trace (the http benchmark workload's budget), through the route
+// handler without sockets: the read the session registry serves most.
+void BM_ApiGetFinishedSession(benchmark::State& state) {
+  service::TuningService svc;
+  api::ApiServer api(svc);  // never started
+  service::SessionSpec spec;
+  spec.kernel = "gemm";
+  spec.tuner = "random";
+  spec.budget = 200;
+  net::HttpRequest request;
+  request.method = "GET";
+  request.target = "/v1/sessions/" + std::to_string(svc.submit_tracked(spec));
+  svc.wait_idle();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const auto response = api.handle(request);
+    bytes = response.body.size();
+    benchmark::DoNotOptimize(response.body.data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_ApiGetFinishedSession);
 
 // ---------------------------------------------- sharded measurement cache --
 // service::ShardedMeasurementCache under the access pattern of a long

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "cluster/cluster_node.hpp"
+#include "common/contracts.hpp"
 #include "common/json.hpp"
 #include "kernels/all_kernels.hpp"
 #include "obs/build_info.hpp"
@@ -21,12 +22,16 @@ using common::JsonObject;
 
 namespace {
 
-net::HttpResponse json_response(int status, const Json& body) {
+net::HttpResponse json_response(int status, std::string body) {
   net::HttpResponse response;
   response.status = status;
   response.headers.emplace_back("content-type", "application/json");
-  response.body = body.dump();
+  response.body = std::move(body);
   return response;
+}
+
+net::HttpResponse json_response(int status, const Json& body) {
+  return json_response(status, body.dump());
 }
 
 net::HttpResponse error_json(int status, std::string message) {
@@ -229,17 +234,32 @@ net::HttpResponse ApiServer::get_session(const std::string& id_text) const {
   if (!id) return error_json(400, "job id must be decimal digits");
   const auto job = service_.tracked(*id);
   if (!job) return error_json(404, "no such session: " + id_text);
-  JsonObject object;
-  object.emplace("id", id_text);
-  if (job->future.wait_for(std::chrono::seconds(0)) ==
+  if (job->future.wait_for(std::chrono::seconds(0)) !=
       std::future_status::ready) {
-    object.emplace("state", "done");
-    object.emplace("result", service::to_json(job->future.get()));
-  } else {
+    JsonObject object;
+    object.emplace("id", id_text);
     object.emplace("state", "pending");
     object.emplace("spec", service::to_json(job->spec));
+    return json_response(200, Json(std::move(object)));
   }
-  return json_response(200, Json(std::move(object)));
+  // The service encoded the result once, when the session finished or
+  // was restored. Splice those bytes into the object the DOM would
+  // dump, keys in its order. id_text is decimal digits (parse_job_id),
+  // so it needs no escaping.
+  const auto& json = job->future.get().json;
+  BAT_EXPECTS(json != nullptr);
+  constexpr std::string_view kHead = R"({"id":")";
+  constexpr std::string_view kResult = R"(","result":)";
+  constexpr std::string_view kTail = R"(,"state":"done"})";
+  std::string body;
+  body.reserve(kHead.size() + id_text.size() + kResult.size() +
+               json->size() + kTail.size());
+  body += kHead;
+  body += id_text;
+  body += kResult;
+  body += *json;
+  body += kTail;
+  return json_response(200, std::move(body));
 }
 
 net::HttpResponse ApiServer::get_trace(const std::string& id_text) const {

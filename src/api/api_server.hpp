@@ -10,7 +10,9 @@
 //                            fsync-durable before the 202 leaves.
 //   GET  /v1/sessions        registry listing: [{"id","state"},...]
 //   GET  /v1/sessions/<id>   job status; when the future is ready the
-//                            full SessionResult (trace included).
+//                            full SessionResult (trace included),
+//                            served from the bytes the service encoded
+//                            once when the session finished.
 //   POST /v1/sessions:run    synchronous: run_inline on the handling
 //                            connection's worker, full result back
 //                            (untracked: no id, never journaled).

@@ -1,9 +1,14 @@
 #include "common/string_util.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cctype>
-#include <cstdio>
+#include <charconv>
 #include <cstdint>
+#include <limits>
+#include <system_error>
+
+#include "common/contracts.hpp"
 
 namespace bat::common {
 
@@ -51,14 +56,24 @@ bool starts_with(std::string_view text, std::string_view prefix) {
 }
 
 std::string format_double(double value, int max_decimals) {
-  std::array<char, 64> buf{};
-  std::snprintf(buf.data(), buf.size(), "%.*f", max_decimals, value);
-  std::string s(buf.data());
-  if (s.find('.') != std::string::npos) {
-    while (!s.empty() && s.back() == '0') s.pop_back();
-    if (!s.empty() && s.back() == '.') s.pop_back();
+  // printf's "%.*f" digits in the C locale, every one of them: the
+  // widest finite double, -DBL_MAX, takes a sign, 309 integer digits,
+  // the point and the decimals.
+  constexpr int kMaxDecimals = 64;
+  BAT_EXPECTS(max_decimals <= kMaxDecimals);
+  constexpr int kIntegerDigits =
+      std::numeric_limits<double>::max_exponent10 + 1;
+  std::array<char, 1 + kIntegerDigits + 1 + kMaxDecimals> buf;
+  const auto [end, ec] =
+      std::to_chars(buf.data(), buf.data() + buf.size(), value,
+                    std::chars_format::fixed, max_decimals);
+  BAT_ENSURES(ec == std::errc());
+  char* last = end;
+  if (std::find(buf.data(), last, '.') != last) {
+    while (last[-1] == '0') --last;
+    if (last[-1] == '.') --last;
   }
-  return s;
+  return std::string(buf.data(), last);
 }
 
 std::string format_grouped(std::uint64_t value) {

@@ -17,7 +17,9 @@ namespace bat::common {
 
 [[nodiscard]] bool starts_with(std::string_view text, std::string_view prefix);
 
-/// Formats a double trimming trailing zeros ("1.5", "2", "0.333").
+/// Formats a double as printf's "%.*f" would in the C locale, then
+/// trims trailing zeros ("1.5", "2", "0.333"). Every digit is kept, so
+/// 1e300 prints as 301 digits. max_decimals must be at most 64.
 [[nodiscard]] std::string format_double(double value, int max_decimals = 6);
 
 /// Groups thousands with spaces like the paper's tables ("123 863 040").

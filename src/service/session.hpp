@@ -8,12 +8,13 @@
 // per-workload cache). Specs are plain values, copied into the service;
 // results come back through the std::future returned by submit().
 //
-// Thread-safety: SessionSpec/SessionResult are value types with no
-// shared state; a SessionResult is written by exactly one worker and
-// handed off through the future.
+// Thread-safety: SessionSpec/SessionResult are value types; the only
+// shared state is a result's immutable encoded bytes. A SessionResult
+// is written by exactly one worker and handed off through the future.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "core/benchmark.hpp"
@@ -71,6 +72,12 @@ struct SessionResult {
   tuners::TuningRun run;  // trace/best; partial when cancelled
   double wall_ms = 0.0;   // execution wall clock (excludes queue wait)
   JitSessionCost jit;     // compile-cost dimension ("jit" backend only)
+  /// to_json(*this).dump() of the fields above, encoded once by the
+  /// service when a tracked session finishes or is restored from the
+  /// journal, so GET /v1/sessions/<id> serves these bytes instead of
+  /// encoding on every read. Null for untracked results (submit,
+  /// run_all, run_inline) and for results built outside the service.
+  std::shared_ptr<const std::string> json;
 };
 
 }  // namespace bat::service

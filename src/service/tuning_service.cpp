@@ -10,6 +10,7 @@
 #include "io/replay_view.hpp"
 #include "kernels/all_kernels.hpp"
 #include "obs/trace.hpp"
+#include "service/session_json.hpp"
 
 namespace bat::service {
 
@@ -24,6 +25,15 @@ io::RepositoryOptions repository_options(const ServiceOptions& options) {
   repo.cache_dir = options.dataset_dir;
   repo.exhaustive_limit = kReplaySweepLimit;
   return repo;
+}
+
+/// A tracked session's result as GET /v1/sessions/<id> serves it,
+/// encoded once. Shrunk to fit: every retained session holds its bytes,
+/// so the dump's growth slack would be paid per session.
+std::shared_ptr<const std::string> encode(const SessionResult& result) {
+  std::string json = to_json(result).dump();
+  json.shrink_to_fit();
+  return std::make_shared<const std::string>(std::move(json));
 }
 }  // namespace
 
@@ -189,6 +199,9 @@ std::future<SessionResult> TuningService::enqueue(SessionSpec spec,
                           " failed: ", e.what());
       }
     }
+    // The bytes travel inside the future's value: one set_value
+    // publishes readiness and bytes together.
+    if (id != 0) result.json = encode(result);
     promise->set_value(std::move(result));
     {
       std::lock_guard lock(mutex_);
@@ -253,8 +266,10 @@ void TuningService::recover_from_journal() {
   // that submitted before the crash polls the same id and reads the
   // same result (trace included).
   for (const auto& done : log_->completed()) {
+    SessionResult result = done.result;
+    result.json = encode(result);
     std::promise<SessionResult> promise;
-    promise.set_value(done.result);
+    promise.set_value(std::move(result));
     std::lock_guard lock(jobs_mutex_);
     jobs_.emplace(done.id,
                   TrackedSession{done.result.spec,

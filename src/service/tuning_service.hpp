@@ -29,7 +29,9 @@
 //     backends make the re-run indistinguishable from the one a crash
 //     destroyed). Sessions cancelled by shutdown are deliberately left
 //     pending in the journal for the same reason. See
-//     docs/durability.md.
+//     docs/durability.md. A tracked session's result is JSON-encoded
+//     once, when it finishes or is restored, and readers share those
+//     bytes (SessionResult::json).
 //
 // Determinism is preserved: backends are deterministic, so a session
 // produces the identical trace whether its measurements were computed
@@ -131,7 +133,11 @@ class TuningService {
   /// kFailed, never as a broken promise).
   [[nodiscard]] std::future<SessionResult> submit(SessionSpec spec);
 
-  /// One entry of the tracked-session registry.
+  /// One entry of the tracked-session registry. Once `future` is
+  /// ready, its value carries the result's encoded bytes
+  /// (SessionResult::json): the worker encodes them before it resolves
+  /// the future, and journal recovery before it registers a restored
+  /// session, so no reader sees a finished session without its bytes.
   struct TrackedSession {
     SessionSpec spec;
     std::shared_future<SessionResult> future;
@@ -239,10 +245,10 @@ class TuningService {
   [[nodiscard]] Workload& workload_for(const SessionSpec& spec);
   void build_workload(const SessionSpec& spec, WorkloadSlot& slot);
   /// The shared submit path. id != 0 marks a tracked session whose
-  /// terminal result is journaled (cancellations excepted) before its
-  /// future resolves. trace_id != 0 makes the worker record the
-  /// session's spans (evaluate, backend batches, jit compiles, journal
-  /// commits) under that trace.
+  /// terminal result is journaled (cancellations excepted) and encoded
+  /// (SessionResult::json) before its future resolves. trace_id != 0
+  /// makes the worker record the session's spans (evaluate, backend
+  /// batches, jit compiles, journal commits) under that trace.
   [[nodiscard]] std::future<SessionResult> enqueue(SessionSpec spec,
                                                    std::uint64_t id,
                                                    std::uint64_t trace_id);

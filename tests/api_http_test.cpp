@@ -7,7 +7,9 @@
 //   * two concurrent remote clients on one workload register
 //     cross_session_hits > 0 (the service's raison d'être survives the
 //     network hop);
-//   * spec (de)serialization strictness and the async job registry.
+//   * spec (de)serialization strictness and the async job registry;
+//   * GET /v1/sessions/<id> bodies, finished and pending, byte-equal to
+//     their DOM encoding.
 // tools/ci.sh runs this binary under TSan: HTTP workers, service
 // workers and the sharded cache all interleave here.
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/api_server.hpp"
@@ -113,6 +116,72 @@ TEST(ApiServer, RoutesWithoutSockets) {
   const auto failed = api.handle(req);
   EXPECT_EQ(failed.status, 200);
   EXPECT_EQ(Json::parse(failed.body).at("status").as_string(), "failed");
+}
+
+/// What GET /v1/sessions/<id> answers for a finished session: the
+/// {id, result, state} object built as a DOM and dumped whole.
+std::string done_body(const std::string& id,
+                      const service::SessionResult& result) {
+  return Json(common::JsonObject{{"id", id},
+                                 {"result", service::to_json(result)},
+                                 {"state", "done"}})
+      .dump();
+}
+
+TEST(ApiServer, FinishedSessionBodiesAreTheDomEncoding) {
+  service::TuningService svc;
+  ApiServer api(svc);
+  auto unknown_kernel = small_spec(5);
+  unknown_kernel.kernel = "warpdrive";
+  ASSERT_EQ(svc.submit_tracked(small_spec(5)), 1u);
+  ASSERT_EQ(svc.submit_tracked(unknown_kernel), 2u);
+  svc.wait_idle();
+  const auto completed = svc.tracked(1)->future.get();
+  const auto failed = svc.tracked(2)->future.get();
+  ASSERT_EQ(completed.status, service::SessionStatus::kCompleted);
+  ASSERT_EQ(failed.status, service::SessionStatus::kFailed);
+
+  net::HttpRequest req;
+  req.method = "GET";
+  // The id is echoed as the client wrote it, leading zeros included.
+  for (const auto& [id, result] :
+       {std::pair{"1", &completed}, std::pair{"2", &failed},
+        std::pair{"001", &completed}}) {
+    req.target = std::string("/v1/sessions/") + id;
+    const auto response = api.handle(req);
+    ASSERT_EQ(response.status, 200) << req.target;
+    EXPECT_EQ(response.body, done_body(id, *result)) << req.target;
+    ASSERT_EQ(response.headers.size(), 1u);
+    EXPECT_EQ(response.headers[0].first, "content-type");
+    EXPECT_EQ(response.headers[0].second, "application/json");
+  }
+}
+
+TEST(ApiServer, PendingSessionAnswersWithItsSpec) {
+  service::ServiceOptions options;
+  options.workers = 1;
+  service::TuningService svc(options);
+  ApiServer api(svc);
+  // The one worker runs a session far too long to finish during this
+  // test, so the next submission waits in the queue.
+  service::SessionSpec blocker;
+  blocker.kernel = "dedisp";
+  blocker.tuner = "random";
+  blocker.budget = 100'000'000;
+  (void)svc.submit_tracked(blocker);
+  const auto id = std::to_string(svc.submit_tracked(small_spec(3)));
+
+  net::HttpRequest req;
+  req.method = "GET";
+  req.target = "/v1/sessions/" + id;
+  const auto response = api.handle(req);
+  ASSERT_EQ(response.status, 200);
+  EXPECT_EQ(response.body,
+            Json(common::JsonObject{{"id", id},
+                                    {"spec", service::to_json(small_spec(3))},
+                                    {"state", "pending"}})
+                .dump());
+  svc.shutdown();  // cancels the blocker at its next batch boundary
 }
 
 // -------------------------------------------------------- loopback e2e ----

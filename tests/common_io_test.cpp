@@ -1,5 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <limits>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/contracts.hpp"
 #include "common/csv.hpp"
 #include "common/json.hpp"
@@ -106,10 +116,70 @@ TEST(StringUtil, SplitJoinTrim) {
   EXPECT_EQ(trim(""), "");
 }
 
+/// printf's "%.*f" with format_double's zero trim, into a buffer wide
+/// enough for any double: the reference format_double must match.
+std::string printf_reference(double value, int decimals) {
+  std::vector<char> buf(1024);
+  std::snprintf(buf.data(), buf.size(), "%.*f", decimals, value);
+  std::string s(buf.data());
+  if (s.find('.') != std::string::npos) {
+    while (s.back() == '0') s.pop_back();
+    if (s.back() == '.') s.pop_back();
+  }
+  return s;
+}
+
 TEST(StringUtil, FormatDoubleTrimsZeros) {
   EXPECT_EQ(format_double(1.5), "1.5");
   EXPECT_EQ(format_double(2.0), "2");
   EXPECT_EQ(format_double(0.125, 3), "0.125");
+  EXPECT_EQ(format_double(-0.0, 9), "-0");
+  EXPECT_EQ(format_double(0.125, 2), "0.12");  // ties round to even
+  EXPECT_EQ(format_double(std::numeric_limits<double>::infinity()), "inf");
+
+  // Wide numbers print every digit, however many: 1e63 is 64 digits,
+  // 1e300 is 301 and -DBL_MAX a sign and 309.
+  const double max = std::numeric_limits<double>::max();
+  for (const auto& [value, digits] :
+       {std::pair{1e63, 64}, std::pair{-1e62, 63}, std::pair{1e300, 301},
+        std::pair{-max, 309}}) {
+    const auto text = format_double(value, 9);
+    EXPECT_EQ(text.size(), static_cast<std::size_t>(digits) +
+                               (value < 0 ? 1 : 0))
+        << value;
+    EXPECT_EQ(text, printf_reference(value, 9)) << value;
+  }
+  EXPECT_EQ(format_double(-max, 9).substr(0, 18), "-17976931348623157");
+  EXPECT_EQ(format_double(1e300, 9).substr(0, 17), "10000000000000000");
+}
+
+TEST(StringUtil, FormatDoubleMatchesPrintfOnASeededSweep) {
+  std::mt19937_64 rng(20240613);
+  const std::array decimals{0, 1, 2, 3, 4, 6, 9};
+  std::uniform_real_distribution<double> mantissa(0.5, 1.0);
+  std::uniform_int_distribution<int> exponent(-40, 177);  // to ~1e53
+  std::size_t mismatches = 0;
+  std::string first_mismatch;
+  const auto check = [&](double value) {
+    const int d = decimals[rng() % decimals.size()];
+    if (format_double(value, d) != printf_reference(value, d)) {
+      if (mismatches++ == 0) {
+        first_mismatch = printf_reference(value, d) + " at " +
+                         std::to_string(d) + " decimals";
+      }
+    }
+  };
+  for (int i = 0; i < 100'000; ++i) {
+    // Any bit pattern: denormals, huge magnitudes, inf and nan.
+    check(std::bit_cast<double>(static_cast<std::uint64_t>(rng())));
+    // The magnitudes objectives and wall times take.
+    const double sign = rng() % 2 == 0 ? 1.0 : -1.0;
+    check(sign * std::ldexp(mantissa(rng), exponent(rng)));
+    // Exact binary fractions, where rounding ties happen.
+    check(sign * std::ldexp(static_cast<double>(rng() % 4096),
+                            -static_cast<int>(rng() % 16)));
+  }
+  EXPECT_EQ(mismatches, 0u) << "first: " << first_mismatch;
 }
 
 struct GroupedCase {
