@@ -12,8 +12,12 @@
 //   histogram-observe   one histogram observation (micro; reference)
 //   cache-claim         steady-state hit claims on a sharded cache —
 //                       a session's per-measurement fast path
-//   warm-jit-dispatch   CompiledKernelBackend warm batch (pnpoly):
-//                       the instrumented evaluation hot path (gated)
+//   inline-session      one TuningService::run_inline live session
+//                       (pnpoly, local, budget 100) inside a trace
+//                       scope: the instrumented evaluation path POST
+//                       /v1/sessions:run takes — backend.batch spans,
+//                       session counters, the duration histogram
+//                       (gated)
 //   http-handle         GET /v1/healthz through the transport's
 //                       per-request instrumentation wrapper — trace
 //                       mint, http.request span, duration histogram —
@@ -34,16 +38,14 @@
 //                       that number is http-handle's job)
 //
 // All scenario timings are min-of-3 self-calibrating windows (>= 50ms
-// of wall time each, the bench/jit_compile.cpp idiom; http-rps uses
-// min-of-5 x 200ms against socket noise): the minimum is the noise
-// floor, so the gate compares costs, not scheduler hiccups.
+// of wall time each; http-rps uses min-of-5 x 200ms against socket
+// noise): the minimum is the noise floor, so the gate compares costs,
+// not scheduler hiccups.
 //
-//   obs_overhead [--repeats 200] [--artifact-dir DIR]
-//                [--out BENCH_obs.json]
+//   obs_overhead [--repeats 200] [--out BENCH_obs.json]
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <stdexcept>
@@ -54,10 +56,7 @@
 #include "api/api_server.hpp"
 #include "common/json.hpp"
 #include "net/http_client.hpp"
-#include "common/rng.hpp"
-#include "jit/compiled_backend.hpp"
 #include "kernels/all_kernels.hpp"
-#include "kernels/kernel_benchmark.hpp"
 #include "net/http.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -71,7 +70,6 @@ using bat::common::JsonObject;
 
 struct Options {
   std::size_t repeats = 200;
-  std::string artifact_dir;
   std::string out = "BENCH_obs.json";
 };
 
@@ -87,8 +85,6 @@ Options parse(int argc, char** argv) {
     };
     if (arg == "--repeats") {
       options.repeats = std::stoul(value());
-    } else if (arg == "--artifact-dir") {
-      options.artifact_dir = value();
     } else if (arg == "--out") {
       options.out = value();
     } else {
@@ -154,7 +150,6 @@ volatile std::uint64_t g_sink = 0;  // defeat dead-code elimination
 
 int main(int argc, char** argv) {
   const Options options = parse(argc, argv);
-  namespace fs = std::filesystem;
 
   JsonObject scenarios;
   const auto emit = [&scenarios](const char* name, const TimedRun& run) {
@@ -214,33 +209,27 @@ int main(int argc, char** argv) {
                             1 << 14));
   }
 
-  // --- warm-jit-dispatch: the instrumented evaluation hot path ---------
+  // --- inline-session: the instrumented evaluation path ---------------
   {
-    const auto bench = bat::kernels::make("pnpoly");
-    const auto& kernel_bench =
-        dynamic_cast<const bat::kernels::KernelBenchmark&>(*bench);
-    bat::common::Rng rng(2024);
-    std::vector<bat::core::ConfigIndex> indices;
-    for (std::size_t i = 0; i < 6; ++i) {
-      indices.push_back(bench->space().params().index_of_config(
-          bench->space().random_valid_config(rng)));
-    }
-    bat::jit::CompiledBackendOptions jit_options;
-    jit_options.artifact_dir =
-        options.artifact_dir.empty()
-            ? (fs::temp_directory_path() / "bat-obs-bench").string()
-            : options.artifact_dir;
-    fs::remove_all(jit_options.artifact_dir);
-    bat::jit::CompiledKernelBackend jit(kernel_bench, 0, jit_options);
-    (void)jit.evaluate_batch(indices);  // cold compile outside the window
-    const TimedRun warm = min_of_rounds(
-        [&](std::size_t n) {
-          for (std::size_t i = 0; i < n; ++i) {
-            g_sink = g_sink + jit.evaluate_batch(indices).size();
-          }
-        },
-        options.repeats);
-    emit("warm-jit-dispatch", warm);
+    // No shared cache: every repeat evaluates its whole trace through
+    // the backend instead of replaying the first repeat's hits.
+    bat::service::ServiceOptions service_options;
+    service_options.share_cache = false;
+    bat::service::TuningService svc(service_options);
+    bat::service::SessionSpec spec;
+    spec.kernel = "pnpoly";
+    spec.tuner = "local";
+    spec.budget = 100;
+    (void)svc.run_inline(spec);  // workload build outside the window
+    emit("inline-session",
+         min_of_rounds(
+             [&](std::size_t n) {
+               for (std::size_t i = 0; i < n; ++i) {
+                 bat::obs::TraceScope trace(bat::obs::mint_trace_id());
+                 g_sink = g_sink + svc.run_inline(spec).run.trace.size();
+               }
+             },
+             options.repeats));
   }
 
   // --- http-handle: the transport's per-request instrumentation --------

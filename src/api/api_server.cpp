@@ -6,7 +6,6 @@
 #include <string_view>
 #include <utility>
 
-#include "cluster/cluster_node.hpp"
 #include "common/contracts.hpp"
 #include "common/json.hpp"
 #include "kernels/all_kernels.hpp"
@@ -89,7 +88,6 @@ net::ServerOptions with_api_policy(
 
 ApiServer::ApiServer(service::TuningService& service, ApiOptions options)
     : service_(service),
-      cluster_(options.cluster),
       metrics_(options.metrics ? std::move(options.metrics)
                                : std::make_shared<obs::MetricsRegistry>()),
       http_(with_api_policy(std::move(options.http), metrics_),
@@ -178,13 +176,6 @@ net::HttpResponse ApiServer::handle(const net::HttpRequest& request) {
       return error_json(405, "use GET on /v1/spaces");
     }
     return get_spaces();
-  }
-  constexpr std::string_view kPeersPrefix = "/v1/peers/";
-  if (path.compare(0, kPeersPrefix.size(), kPeersPrefix) == 0) {
-    if (!cluster_) {
-      return error_json(404, "not clustered (start with --peers)");
-    }
-    return cluster_->handle_peers(request);
   }
   return error_json(404, "no such endpoint: " + path);
 }
@@ -368,22 +359,6 @@ net::HttpResponse ApiServer::get_stats() const {
                             durability.replay_dropped_bytes);
   }
 
-  // JIT compile-cost counters, aggregated over every "jit" workload.
-  // artifact_cache_hits rising while compiles stays flat is the
-  // content-addressed cache doing its job across sessions/restarts.
-  const auto jit = service_.jit_stats();
-  JsonObject jit_json;
-  jit_json.emplace("backends", jit.backends);
-  jit_json.emplace("evaluations", jit.evaluations);
-  jit_json.emplace("fallback_evals", jit.fallback_evals);
-  jit_json.emplace("compiles", jit.compiles);
-  jit_json.emplace("compile_failures", jit.compile_failures);
-  jit_json.emplace("compile_ms", jit.compile_ms);
-  jit_json.emplace("artifact_cache_hits", jit.artifact_cache_hits);
-  jit_json.emplace("artifact_cache_misses", jit.artifact_cache_misses);
-  jit_json.emplace("corrupt_rebuilds", jit.corrupt_rebuilds);
-  jit_json.emplace("evictions", jit.evictions);
-
   JsonObject object;
   object.emplace("workers", static_cast<std::uint64_t>(service_.workers()));
   object.emplace("sessions_submitted",
@@ -391,10 +366,8 @@ net::HttpResponse ApiServer::get_stats() const {
   object.emplace("sessions_active",
                  static_cast<std::uint64_t>(service_.sessions_active()));
   object.emplace("cache", Json(std::move(cache_json)));
-  object.emplace("jit", Json(std::move(jit_json)));
   object.emplace("durability", Json(std::move(durability_json)));
   object.emplace("http", Json(std::move(http_json)));
-  if (cluster_) object.emplace("cluster", cluster_->stats_json());
   return json_response(200, Json(std::move(object)));
 }
 

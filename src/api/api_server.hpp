@@ -60,22 +60,14 @@
 #include "obs/metrics.hpp"
 #include "service/tuning_service.hpp"
 
-namespace bat::cluster {
-class ClusterNode;
-}  // namespace bat::cluster
-
 namespace bat::api {
 
 struct ApiOptions {
   net::ServerOptions http;
-  /// Joined cluster node (borrowed; must outlive the server). When set,
-  /// /v1/peers/* delegates to ClusterNode::handle_peers and /v1/stats
-  /// grows a "cluster" section. Null = single-node: /v1/peers/* is 404.
-  cluster::ClusterNode* cluster = nullptr;
   /// The registry /v1/metrics renders. Null makes a private one — but
   /// then the exposition only carries the API server's own series;
-  /// `tune serve` shares one registry across service, cluster, HTTP
-  /// transport and here so the scrape sees the whole process.
+  /// `tune serve` shares one registry across service, HTTP transport
+  /// and here so the scrape sees the whole process.
   std::shared_ptr<obs::MetricsRegistry> metrics;
 };
 
@@ -111,7 +103,6 @@ class ApiServer {
   [[nodiscard]] static net::HttpResponse get_spaces();
 
   service::TuningService& service_;
-  cluster::ClusterNode* cluster_;
 
   std::shared_ptr<obs::MetricsRegistry> metrics_;
   std::vector<obs::CallbackGuard> metric_guards_;

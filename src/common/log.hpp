@@ -2,7 +2,7 @@
 //
 // Emitted lines are logfmt-shaped and machine-greppable:
 //
-//   level=warn ts=2026-08-08T12:34:56.789Z msg="jit: falling back ..."
+//   level=info ts=2026-08-08T12:34:56.789Z msg="service: sweeping pnpoly ..."
 //
 // The level is runtime-settable (BAT_LOG_LEVEL env, `tune serve
 // --log-level`, or set_log_level()), timestamps are UTC wall time with

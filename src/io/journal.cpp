@@ -42,8 +42,8 @@ void fsync_or_throw(int fd, const std::string& path) {
 }
 
 // Directory-entry durability comes from the shared io::fsync_parent_dir
-// (io/fsync.hpp), the same helper DatasetRepository and the JIT
-// artifact cache use for their tmp + fsync + rename publishes.
+// (io/fsync.hpp), the same helper DatasetRepository uses for its
+// tmp + fsync + rename publishes.
 
 std::uint32_t read_u32(const char* p) {
   std::uint32_t v;

@@ -8,11 +8,11 @@
 //     validated on replay, so a single flipped header byte rejects the
 //     file instead of silently replaying someone else's data;
 //   * record — u32 payload length, u8 caller-defined type tag, the
-//     payload bytes, then a CRC-32 (io::crc32, the BATDSB01/BATDFR01
-//     polynomial) over everything from the length field through the
-//     payload. The CRC trailing each record — rather than one file
-//     footer — is what makes the format append-only: a crash can only
-//     ever tear the *last* record.
+//     payload bytes, then a CRC-32 (io::crc32, the BATDSB01 polynomial)
+//     over everything from the length field through the payload. The
+//     CRC trailing each record — rather than one file footer — is what
+//     makes the format append-only: a crash can only ever tear the
+//     *last* record.
 //
 // Replay semantics (the durability contract, enforced byte-by-byte in
 // tests/io_journal_test.cpp): a record prefix is authoritative iff

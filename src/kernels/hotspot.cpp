@@ -51,9 +51,7 @@ HotspotParams HotspotBenchmark::decode(const core::Config& c) {
 
 std::optional<double> HotspotBenchmark::model_time_ms(
     const core::Config& config, const gpusim::DeviceSpec& device) const {
-  // The arithmetic lives in models/hotspot_model.hpp so the JIT backend
-  // can compile the identical expressions into a specialized shared
-  // object.
+  // The arithmetic lives in models/hotspot_model.hpp.
   const auto prof = models::hotspot_profile(decode(config), device);
   if (!prof) return std::nullopt;
   return gpusim::LaunchModel::estimate_ms(device, *prof);

@@ -1,10 +1,8 @@
-// The GEMM analytical model, factored out of GemmBenchmark so the JIT
-// backend can compile the *same* expressions into a specialized shared
-// object (src/kernels/jit_emitters.cpp bakes the parameters into a
-// constexpr struct and instantiates this template). Host and JIT paths
-// therefore agree bit-for-bit — parity is by construction, not by test
-// tolerance. Depends only on header-only gpusim pieces so an emitted
-// translation unit needs no symbols from libbat.
+// The GEMM analytical model: the decoded parameters plus a device in,
+// a launch profile out (nullopt for device-invalid launches). It is a
+// header of pure functions over header-only gpusim pieces, kept apart
+// from GemmBenchmark so the problem constants (gemm.hpp re-exports
+// them) and the arithmetic live in one place.
 #pragma once
 
 #include <algorithm>

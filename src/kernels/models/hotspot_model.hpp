@@ -1,6 +1,6 @@
-// The Hotspot analytical model, factored out of HotspotBenchmark for the
-// JIT backend (see gemm_model.hpp for the why). Device-invalid launches
-// (too few/many threads, shared-memory tile overflow) return nullopt.
+// The Hotspot analytical model, kept apart from HotspotBenchmark like
+// gemm_model.hpp. Device-invalid launches (too few/many threads,
+// shared-memory tile overflow) return nullopt.
 #pragma once
 
 #include <algorithm>

@@ -1,6 +1,6 @@
-// The Pnpoly analytical model, factored out of PnpolyBenchmark for the
-// JIT backend (see gemm_model.hpp for the why). The single device-invalid
-// case (register file overflow) returns nullopt.
+// The Pnpoly analytical model, kept apart from PnpolyBenchmark like
+// gemm_model.hpp. The single device-invalid case (register file
+// overflow) returns nullopt.
 #pragma once
 
 #include <algorithm>

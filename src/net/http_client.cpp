@@ -31,6 +31,33 @@ bool is_io_timeout(int err) {
 
 }  // namespace
 
+HostPort parse_host_port(std::string_view text) {
+  const auto colon = text.rfind(':');
+  if (colon == std::string_view::npos || colon == 0 ||
+      colon + 1 >= text.size()) {
+    throw std::invalid_argument("address '" + std::string(text) +
+                                "' is not host:port");
+  }
+  unsigned long port = 0;
+  for (const char c : text.substr(colon + 1)) {
+    if (c < '0' || c > '9') {
+      throw std::invalid_argument("address '" + std::string(text) +
+                                  "' has a non-numeric port");
+    }
+    port = port * 10 + static_cast<unsigned long>(c - '0');
+    if (port > 65535) {
+      throw std::invalid_argument("address '" + std::string(text) +
+                                  "' port out of range");
+    }
+  }
+  if (port == 0) {
+    throw std::invalid_argument("address '" + std::string(text) +
+                                "' needs a nonzero port");
+  }
+  return HostPort{std::string(text.substr(0, colon)),
+                  static_cast<std::uint16_t>(port)};
+}
+
 HttpClient::HttpClient(std::string host, std::uint16_t port,
                        ParseLimits limits, ClientOptions options)
     : host_(std::move(host)), port_(port), limits_(limits),

@@ -23,10 +23,9 @@
 namespace bat::service {
 
 /// One tuning workload unit. `backend` selects how the service
-/// evaluates: "live" (gpusim model), "replay" (a registered or
+/// evaluates: "live" (gpusim model) or "replay" (a registered or
 /// service-swept tabular dataset; requires an exhaustively enumerable
-/// space or a registered dataset) or "jit" (per-config compiled shared
-/// objects, results bit-identical to "live"; gemm/hotspot/pnpoly only).
+/// space or a registered dataset).
 struct SessionSpec {
   std::string kernel = "gemm";
   std::string tuner = "local";
@@ -34,20 +33,6 @@ struct SessionSpec {
   std::size_t budget = 150;
   std::uint64_t seed = 42;
   std::string backend = "live";
-};
-
-/// Compile-cost telemetry for "jit" sessions (all zero otherwise):
-/// deltas of the shared workload backend's counters across this
-/// session's execution. Concurrent sessions on the same workload share
-/// the artifact cache, so a delta attributes whatever happened while
-/// this session ran — compile amortization is the point, not perfect
-/// attribution.
-struct JitSessionCost {
-  double compile_ms = 0.0;
-  std::uint64_t compiles = 0;
-  std::uint64_t artifact_cache_hits = 0;
-  std::uint64_t artifact_cache_misses = 0;
-  std::uint64_t fallback_evals = 0;
 };
 
 enum class SessionStatus {
@@ -71,7 +56,6 @@ struct SessionResult {
   std::string error;      // what() when status == kFailed
   tuners::TuningRun run;  // trace/best; partial when cancelled
   double wall_ms = 0.0;   // execution wall clock (excludes queue wait)
-  JitSessionCost jit;     // compile-cost dimension ("jit" backend only)
   /// to_json(*this).dump() of the fields above, encoded once by the
   /// service when a tracked session finishes or is restored from the
   /// journal, so GET /v1/sessions/<id> serves these bytes instead of

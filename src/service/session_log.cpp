@@ -87,6 +87,13 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
+/// Result records written before the JIT backend was removed end in a
+/// compile-cost trailer (f64 compile_ms, u64 compiles, artifact cache
+/// hits, misses, fallback evaluations), zero for live and replay
+/// sessions. Decode accepts exactly these bytes after the trace and
+/// ignores them; any other remainder is still "trailing bytes".
+constexpr std::size_t kLegacyResultTrailerBytes = 8 + 4 * 8;
+
 SessionStatus status_from_u8(std::uint8_t v) {
   switch (v) {
     case 0: return SessionStatus::kCompleted;
@@ -154,15 +161,6 @@ std::string SessionLog::encode_result(std::uint64_t id,
     put_u64(out, entry.index);
     put_f64(out, entry.objective);
   }
-  // Compile-cost dimension (all zero for non-jit sessions). Appended
-  // after the trace so the trace-count plausibility bound keeps
-  // holding; the strict expect_done() on decode makes the extension a
-  // clean break, not a silent reinterpretation, for older journals.
-  put_f64(out, result.jit.compile_ms);
-  put_u64(out, result.jit.compiles);
-  put_u64(out, result.jit.artifact_cache_hits);
-  put_u64(out, result.jit.artifact_cache_misses);
-  put_u64(out, result.jit.fallback_evals);
   return out;
 }
 
@@ -187,12 +185,7 @@ std::pair<std::uint64_t, SessionResult> SessionLog::decode_result(
     entry.objective = in.f64();
     result.run.trace.push_back(entry);
   }
-  result.jit.compile_ms = in.f64();
-  result.jit.compiles = in.u64();
-  result.jit.artifact_cache_hits = in.u64();
-  result.jit.artifact_cache_misses = in.u64();
-  result.jit.fallback_evals = in.u64();
-  in.expect_done();
+  if (in.remaining() != kLegacyResultTrailerBytes) in.expect_done();
   result.run.best = core::trace_best(result.run.trace);
   result.run.best_so_far = core::trace_best_so_far(result.run.trace);
   return {id, std::move(result)};

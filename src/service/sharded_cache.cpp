@@ -104,63 +104,6 @@ std::optional<core::Measurement> ShardedMeasurementCache::wait(
   }
 }
 
-std::optional<core::Measurement> ShardedMeasurementCache::lookup(
-    core::ConfigIndex index) const {
-  const auto key = key_of(index);
-  const auto& shard = shard_of(key);
-  std::lock_guard lock(shard.mutex);
-  const auto it = shard.map.find(key);
-  if (it == shard.map.end() || !it->second.ready) return std::nullopt;
-  return it->second.measurement;
-}
-
-ShardedMeasurementCache::Probe ShardedMeasurementCache::probe(
-    core::ConfigIndex index) const {
-  const auto key = key_of(index);
-  const auto& shard = shard_of(key);
-  std::lock_guard lock(shard.mutex);
-  const auto it = shard.map.find(key);
-  if (it == shard.map.end()) return {ProbeState::kAbsent, {}};
-  if (!it->second.ready) return {ProbeState::kPending, {}};
-  return {ProbeState::kReady, it->second.measurement};
-}
-
-bool ShardedMeasurementCache::force_publish(core::ConfigIndex index,
-                                            const core::Measurement& m) {
-  const auto key = key_of(index);
-  auto& shard = shard_of(key);
-  bool transitioned = false;
-  {
-    std::lock_guard lock(shard.mutex);
-    auto [it, inserted] = shard.map.try_emplace(key);
-    if (inserted || !it->second.ready) {
-      it->second.measurement = m;
-      it->second.ready = true;
-      ++shard.evaluations;
-      transitioned = true;
-    }
-  }
-  if (transitioned) shard.cv.notify_all();
-  return transitioned;
-}
-
-bool ShardedMeasurementCache::try_abandon(core::ConfigIndex index) {
-  const auto key = key_of(index);
-  auto& shard = shard_of(key);
-  bool released = false;
-  {
-    std::lock_guard lock(shard.mutex);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end() && !it->second.ready) {
-      shard.map.erase(it);
-      ++shard.abandoned;
-      released = true;
-    }
-  }
-  if (released) shard.cv.notify_all();
-  return released;
-}
-
 std::size_t ShardedMeasurementCache::size() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {

@@ -58,18 +58,14 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "core/backend.hpp"
 #include "core/dataset.hpp"
 #include "io/dataset_repository.hpp"
 #include "io/dataset_view.hpp"
-#include "jit/compiled_backend.hpp"
 #include "obs/metrics.hpp"
 #include "service/session.hpp"
 #include "service/session_log.hpp"
 #include "service/sharded_cache.hpp"
-
-namespace bat::cluster {
-class ClusterNode;
-}  // namespace bat::cluster
 
 namespace bat::service {
 
@@ -88,12 +84,6 @@ struct ServiceOptions {
   /// (mmap), and service-swept datasets persist back into it. "" keeps
   /// the repository memory-only (the pre-io behavior).
   std::string dataset_dir;
-  /// Joined cluster node (borrowed; must outlive the service). When
-  /// set, per-workload caches come from ClusterNode::cache_for — the
-  /// cluster-wide exactly-once layer — instead of a node-local
-  /// ShardedMeasurementCache. Null (default) keeps the single-node
-  /// behavior unchanged.
-  cluster::ClusterNode* cluster = nullptr;
   /// Durable session journal directory. "" (default) keeps the
   /// tracked-session registry memory-only (a restart forgets it); set,
   /// every submit_tracked id and terminal result is journaled
@@ -106,16 +96,9 @@ struct ServiceOptions {
   std::size_t journal_retain_completed = 1024;
   /// Journal size that triggers a compacting checkpoint + truncate.
   std::uint64_t journal_checkpoint_bytes = 256 * 1024;
-  /// Artifact cache directory for "jit" workloads. "" uses the shared
-  /// per-user directory under the system temp root, which is what makes
-  /// compiles amortize across service restarts and across processes.
-  std::string artifact_dir;
-  /// LRU bound on on-disk jit artifacts per workload cache.
-  std::size_t artifact_max_entries = 256;
-  /// Registry hosting the bat_sessions_*/bat_cache_*/bat_jit_* series;
-  /// null makes a private one. Forwarded into the session journal and
-  /// every jit backend the service builds, so one `tune serve` process
-  /// scrapes as one coherent surface.
+  /// Registry hosting the bat_sessions_*/bat_cache_* series; null
+  /// makes a private one. Forwarded into the session journal, so one
+  /// `tune serve` process scrapes as one coherent surface.
   std::shared_ptr<obs::MetricsRegistry> metrics;
 };
 
@@ -201,11 +184,6 @@ class TuningService {
   /// stats().cross_session_hits() > 0 is the service's raison d'être.
   [[nodiscard]] ShardedMeasurementCache::Stats cache_stats() const;
 
-  /// JIT compile/artifact-cache counters aggregated over every "jit"
-  /// workload built so far (`backends` = number aggregated). All-zero
-  /// when no jit session ever ran.
-  [[nodiscard]] jit::BackendStats jit_stats() const;
-
   [[nodiscard]] std::size_t workers() const noexcept { return pool_.size(); }
   [[nodiscard]] std::size_t sessions_submitted() const;
   [[nodiscard]] std::size_t sessions_active() const;
@@ -222,14 +200,7 @@ class TuningService {
     std::shared_ptr<const core::Dataset> dataset;
     std::shared_ptr<const io::DatasetView> view;
     std::unique_ptr<core::EvaluationBackend> backend;
-    /// Non-owning view of `backend` when it is a CompiledKernelBackend
-    /// ("jit" workloads): where the compile-cost counters come from.
-    jit::CompiledKernelBackend* jit = nullptr;
     std::shared_ptr<ShardedMeasurementCache> cache;
-    /// What sessions actually share through: the cache above when
-    /// single-node, the cluster's DistributedMeasurementCache (whose
-    /// local shard is `cache`) when clustered.
-    std::shared_ptr<core::SharedMeasurementCache> shared;
   };
   /// Lazily-built workload slot: the map entry is created cheaply under
   /// the service mutex, the (possibly slow: replay sweeps) build runs
@@ -248,7 +219,7 @@ class TuningService {
   /// terminal result is journaled (cancellations excepted) and encoded
   /// (SessionResult::json) before its future resolves. trace_id != 0
   /// makes the worker record the session's spans (evaluate, backend
-  /// batches, jit compiles, journal commits) under that trace.
+  /// batches, journal commits) under that trace.
   [[nodiscard]] std::future<SessionResult> enqueue(SessionSpec spec,
                                                    std::uint64_t id,
                                                    std::uint64_t trace_id);
@@ -287,7 +258,7 @@ class TuningService {
   obs::Counter* finished_failed_ = nullptr;
   obs::Counter* finished_cancelled_ = nullptr;
   obs::Histogram* session_duration_ = nullptr;
-  // Scrape-time bridges over cache_stats()/jit_stats()/queue state.
+  // Scrape-time bridges over cache_stats()/queue state.
   // Declared after everything they read (destroyed first).
   std::vector<obs::CallbackGuard> metric_guards_;
 

@@ -332,7 +332,7 @@ TEST(ApiServer, StatsKeysSurviveTheRegistryMigration) {
   const auto stats = Json::parse(response.body);
 
   for (const auto* key :
-       {"workers", "sessions_submitted", "sessions_active", "cache", "jit",
+       {"workers", "sessions_submitted", "sessions_active", "cache",
         "durability", "http"}) {
     EXPECT_NE(stats.find(key), nullptr) << "missing top-level key " << key;
   }
@@ -347,13 +347,6 @@ TEST(ApiServer, StatsKeysSurviveTheRegistryMigration) {
         "connections_over_capacity"}) {
     EXPECT_NE(stats.at("http").find(key), nullptr)
         << "missing http key " << key;
-  }
-  for (const auto* key :
-       {"backends", "evaluations", "fallback_evals", "compiles",
-        "compile_failures", "compile_ms", "artifact_cache_hits",
-        "artifact_cache_misses", "corrupt_rebuilds", "evictions"}) {
-    EXPECT_NE(stats.at("jit").find(key), nullptr)
-        << "missing jit key " << key;
   }
   ASSERT_TRUE(stats.at("durability").at("enabled").as_bool());
   for (const auto* key :

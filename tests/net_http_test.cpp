@@ -14,6 +14,7 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -477,6 +478,20 @@ TEST(HttpClient, PipelinedSendThenReadPreservesOrder) {
     EXPECT_EQ(response.body, "/q" + std::to_string(i));
   }
   server.stop();
+}
+
+TEST(HttpClient, ParsesHostPortStrictly) {
+  const auto a = parse_host_port("127.0.0.1:8080");
+  EXPECT_EQ(a.host, "127.0.0.1");
+  EXPECT_EQ(a.port, 8080);
+  EXPECT_EQ(a.to_string(), "127.0.0.1:8080");
+
+  EXPECT_THROW((void)parse_host_port("127.0.0.1"), std::invalid_argument);
+  EXPECT_THROW((void)parse_host_port("host:"), std::invalid_argument);
+  EXPECT_THROW((void)parse_host_port("host:0"), std::invalid_argument);
+  EXPECT_THROW((void)parse_host_port("host:70000"), std::invalid_argument);
+  EXPECT_THROW((void)parse_host_port("host:12ab"), std::invalid_argument);
+  EXPECT_THROW((void)parse_host_port(":8080"), std::invalid_argument);
 }
 
 TEST(HttpServer, SlowLorisByteAtATimeRequestStillFrames) {

@@ -213,38 +213,6 @@ TEST(RateLimiter, DisabledScopesAdmitEverything) {
   }
 }
 
-TEST(RateLimiter, ExemptClientsBypassBothScopesWithoutCharging) {
-  // Regression: a 3-node loopback cluster self-throttled because every
-  // peer shares 127.0.0.0/24 — peer claim/publish bursts drained the
-  // group bucket and starved real clients of the same quota. Exempt
-  // addresses must bypass *and not charge* either scope.
-  RateLimitOptions options;
-  options.per_client_rps = 1.0;
-  options.per_client_burst = 1.0;
-  options.per_group_rps = 1.0;
-  options.per_group_burst = 2.0;  // the /24 shares 2 tokens
-  options.exempt = [](std::uint32_t ipv4) {
-    return (ipv4 >> 24) == 127u;  // loopback only
-  };
-  FakeClock clock;
-  RateLimiter limiter(options, clock.fn());
-
-  // Peer-scale traffic from loopback: all admitted, nothing tracked.
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_TRUE(limiter.admit(0x7f000001).allowed);  // 127.0.0.1
-    EXPECT_TRUE(limiter.admit(0x7f000002).allowed);  // 127.0.0.2
-  }
-  EXPECT_EQ(limiter.tracked_clients(), 0u);
-
-  // Non-exempt clients are still policed exactly as before: the /24
-  // group quota admits two, denies the third.
-  EXPECT_TRUE(limiter.admit(0x0a000001).allowed);
-  EXPECT_TRUE(limiter.admit(0x0a000002).allowed);
-  const Admission denied = limiter.admit(0x0a000003);
-  EXPECT_FALSE(denied.allowed);
-  EXPECT_STREQ(denied.denied_by, "group");
-}
-
 TEST(RateLimiter, SameSubnetClientsThrottleWithoutExemption) {
   // The counterpart: with no exempt predicate installed, loopback
   // addresses share the /24 group bucket like anyone else — which is

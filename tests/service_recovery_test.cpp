@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <stdexcept>
@@ -30,6 +31,7 @@
 
 #include "api/api_server.hpp"
 #include "io/journal.hpp"
+#include "service/session_json.hpp"
 #include "service/session_log.hpp"
 #include "service/tuning_service.hpp"
 #include "fault_util.hpp"
@@ -457,6 +459,41 @@ TEST(ServiceRecovery, HugeDeclaredTraceLengthRejectsWithoutAllocating) {
     payload[count_offset + i] = static_cast<char>(0xFF);
   }
   EXPECT_THROW((void)SessionLog::decode_result(payload),
+               std::invalid_argument);
+}
+
+TEST(ServiceRecovery, LegacyCompileCostTrailerIsSkippedAndNothingElseIs) {
+  // Result records from builds that had the JIT backend end in a
+  // 40-byte compile-cost trailer (f64 + four u64). Such a journal must
+  // still restore, and the trailer must not change what it restores.
+  SessionResult result;
+  result.status = SessionStatus::kFailed;
+  result.error = "unknown session backend: jit";
+  result.wall_ms = 0.75;
+  result.run.trace = {{3, 1.25}, {9, 0.5}};
+  const std::string payload = SessionLog::encode_result(5, result);
+
+  std::string legacy_trailer;
+  for (std::uint64_t word : {std::bit_cast<std::uint64_t>(812.5),
+                             std::uint64_t{3}, std::uint64_t{1},
+                             std::uint64_t{2}, std::uint64_t{17}}) {
+    legacy_trailer.append(reinterpret_cast<const char*>(&word), sizeof word);
+  }
+  ASSERT_EQ(legacy_trailer.size(), 40u);
+
+  const auto [plain_id, plain] = SessionLog::decode_result(payload);
+  const auto [legacy_id, legacy] =
+      SessionLog::decode_result(payload + legacy_trailer);
+  EXPECT_EQ(legacy_id, plain_id);
+  EXPECT_EQ(to_json(legacy).dump(), to_json(plain).dump());
+  EXPECT_EQ(plain_id, 5u);
+  EXPECT_EQ(plain.error, result.error);
+  EXPECT_EQ(plain.run.trace.size(), 2u);
+
+  EXPECT_THROW((void)SessionLog::decode_result(payload +
+                                               legacy_trailer.substr(0, 39)),
+               std::invalid_argument);
+  EXPECT_THROW((void)SessionLog::decode_result(payload + legacy_trailer + "x"),
                std::invalid_argument);
 }
 

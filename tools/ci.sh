@@ -2,17 +2,15 @@
 # CI pipeline: docs link check, configure + build + ctest, an ASan/UBSan
 # build of the concurrency-critical tests (evaluator/backend batching,
 # the thread pool, the compiled index-space core, the session journal
-# and the GBDT's histogram split finder), a TSan build of the service layer (concurrent sessions +
-# sharded cache + cluster cache + journal group commit), a kill -9
+# and the GBDT's histogram split finder), a TSan build of the service
+# layer (concurrent sessions + sharded cache + journal group commit),
+# an io round trip, an obs stage (the bench built with and without
+# -DBAT_OBS_OFF, gated at 1.03x in BENCH_obs.json), a net stage (a live
+# server driven by `tune remote`, plus a Prometheus scrape), a kill -9
 # durability stage (a journaled server killed mid-grid must recover
 # every submitted session id and converge to the uninterrupted
-# results), a jit stage (cold-then-warm compiled-backend runs over one
-# artifact cache plus the BENCH_jit.json warm-dispatch gate), an obs
-# stage (the bench built with and without -DBAT_OBS_OFF, gated at
-# 1.03x in BENCH_obs.json, plus a live Prometheus scrape of a running
-# server), a live 3-node loopback cluster with gated dedup/relay
-# benchmarks, finished by a bench smoke stage that exercises the
-# compiled-space paths end to end on reduced sizes.
+# results), the net throughput gates, finished by a bench smoke stage
+# that exercises the compiled-space paths end to end on reduced sizes.
 #
 #   $ tools/ci.sh [build_dir]
 set -euo pipefail
@@ -61,9 +59,6 @@ SAN_DIR="${BUILD_DIR}-asan"
 # io_journal_test/service_recovery_test replay deliberately torn and
 # bit-flipped journal bytes — recovery paths where an out-of-bounds
 # read would be silent in a release build.
-# jit_artifact_cache_test byte-flips and truncates real shared objects
-# and metadata; jit_backend_test drives dlopen'd code — both are places
-# where a stale pointer or over-read would otherwise go unnoticed.
 # obs_metrics_test renders the Prometheus exposition from concurrently
 # mutated instruments; api_http_test walks the trace ring through the
 # JSON serializer — both read shared buffers a bad index would corrupt.
@@ -73,8 +68,7 @@ SAN_DIR="${BUILD_DIR}-asan"
 SAN_TESTS=(core_backend_test core_dataset_evaluator_test
            common_thread_pool_test core_compiled_space_test
            io_dataset_test common_json_test net_http_test
-           net_rate_limit_test cluster_test io_journal_test
-           service_recovery_test jit_backend_test jit_artifact_cache_test
+           net_rate_limit_test io_journal_test service_recovery_test
            obs_metrics_test api_http_test ml_test analysis_test)
 cmake -B "${SAN_DIR}" -S . -DCMAKE_BUILD_TYPE=Debug -DBAT_SANITIZE=ON
 cmake --build "${SAN_DIR}" -j "${JOBS}" --target "${SAN_TESTS[@]}"
@@ -90,23 +84,16 @@ echo "=== TSan build of service + thread-pool + backend tests ==="
 TSAN_DIR="${BUILD_DIR}-tsan"
 # net_http_test/api_http_test add the event-loop threads + handler pool
 # + job registry interleavings on top of the service-layer sharing;
-# net_rate_limit_test hammers the limiter's single mutex; cluster_test
-# races threads through the distributed cache's claim/wait/abandon
-# paths over a fake peer link.
+# net_rate_limit_test hammers the limiter's single mutex.
 # io_journal_test races 8 appenders through the journal's group
 # commit; service_recovery_test adds journaled submit/result traffic
 # to the worker-pool interleavings.
-# jit_backend_test races warm evaluations against cold compiles on the
-# dedicated pool and hammers the fn-cache's shared_mutex from batch
-# workers; jit_artifact_cache_test races 8 threads through per-key
-# load-or-build.
 # obs_metrics_test hammers one counter/gauge/histogram and the trace
 # ring from 8 threads — the proof that "lock-cheap" means relaxed
 # atomics, not silent data races.
 TSAN_TESTS=(service_test common_thread_pool_test core_backend_test
-            net_http_test net_rate_limit_test api_http_test cluster_test
-            io_journal_test service_recovery_test jit_backend_test
-            jit_artifact_cache_test obs_metrics_test)
+            net_http_test net_rate_limit_test api_http_test
+            io_journal_test service_recovery_test obs_metrics_test)
 cmake -B "${TSAN_DIR}" -S . -DCMAKE_BUILD_TYPE=Debug -DBAT_SANITIZE_THREAD=ON
 cmake --build "${TSAN_DIR}" -j "${JOBS}" --target "${TSAN_TESTS[@]}"
 for t in "${TSAN_TESTS[@]}"; do
@@ -121,12 +108,8 @@ echo "=== io stage: dataset convert round-trip smoke ==="
 IO_TMP="$(mktemp -d)"
 NET_TMP="$(mktemp -d)"
 SERVE_PID=""
-CLUSTER_PIDS=()
 cleanup() {
   [ -n "${SERVE_PID}" ] && kill -9 "${SERVE_PID}" 2>/dev/null || true
-  for pid in "${CLUSTER_PIDS[@]:-}"; do
-    [ -n "${pid}" ] && kill -9 "${pid}" 2>/dev/null || true
-  done
   rm -rf "${IO_TMP}" "${NET_TMP}"
 }
 trap cleanup EXIT
@@ -141,62 +124,14 @@ trap cleanup EXIT
 cmp "${IO_TMP}/a.csv" "${IO_TMP}/b.csv"
 echo "csv -> binary -> csv round-trip is bit-identical"
 
-echo "=== jit stage: compiled backend, cold then warm on one artifact dir ==="
-# The same tuning run twice through one artifact cache. The first run
-# must compile (cold), the second must recompile *nothing* and serve
-# every artifact from the cache — and both must land on the identical
-# best configuration (the cache can never change results).
-JIT_DIR="${IO_TMP}/jit-artifacts"
-"${BUILD_DIR}/tune" run --kernel pnpoly --tuner local --budget 8 \
-    --backend jit --artifact-dir "${JIT_DIR}" > "${IO_TMP}/jit_cold.txt"
-grep -qE 'jit: compiles=[1-9]' "${IO_TMP}/jit_cold.txt" \
-    || { echo "cold jit run compiled nothing"; exit 1; }
-"${BUILD_DIR}/tune" run --kernel pnpoly --tuner local --budget 8 \
-    --backend jit --artifact-dir "${JIT_DIR}" > "${IO_TMP}/jit_warm.txt"
-grep -qE 'jit: compiles=0 ' "${IO_TMP}/jit_warm.txt" \
-    || { echo "warm jit run recompiled"; exit 1; }
-grep -qE 'artifact_cache_hits=[1-9]' "${IO_TMP}/jit_warm.txt" \
-    || { echo "warm jit run missed the artifact cache"; exit 1; }
-cmp <(grep '^best' "${IO_TMP}/jit_cold.txt") \
-    <(grep '^best' "${IO_TMP}/jit_warm.txt") \
-    || { echo "cold and warm jit runs disagree on the best config"; exit 1; }
-echo "jit cold/warm round trip ok (second run: zero compiles, cache hits)"
-
-echo "=== jit compile bench (BENCH_jit.json): warm dispatch vs live ==="
-# Gates (from the release build, docs/jit.md):
-#   parity                     warm objectives bit-identical to live;
-#   max_warm_vs_live <= 1.15   steady-state dispatch within noise of
-#                              the live backend across all kernels;
-#   total_cold_compiles > 0    the cold leg really compiled;
-#   total_second_run_compiles == 0  a fresh process on the same dir
-#                              reuses every artifact.
-"${BUILD_DIR}/jit_compile" --configs 4 --repeats 100 \
-    --artifact-dir "${IO_TMP}/jit-bench" --out BENCH_jit.json
-python3 - <<'EOF'
-import json, sys
-with open("BENCH_jit.json") as f:
-    report = json.load(f)
-for name, k in report["kernels"].items():
-    print(f"{name}: cold {k['cold_wall_ms']:.0f}ms ({k['cold_compiles']} "
-          f"compiles), warm/live {k['warm_vs_live']:.2f}, cold/warm "
-          f"{k['cold_vs_warm_speedup']:.0f}x, "
-          f"2nd-run compiles {k['second_run_compiles']}")
-print(f"max warm/live {report['max_warm_vs_live']:.3f} (gate 1.15), "
-      f"parity {report['parity']}")
-ok = report["parity"]
-ok &= report["max_warm_vs_live"] <= 1.15
-ok &= report["total_cold_compiles"] > 0
-ok &= report["total_second_run_compiles"] == 0
-sys.exit(0 if ok else 1)
-EOF
-
 echo "=== obs overhead (BENCH_obs.json): instrumented vs BAT_OBS_OFF ==="
 # The observability tax, measured: the same bench binary built twice —
 # the release build (metrics + spans live by default) and a
 # -DBAT_OBS_OFF=ON twin with every mutation compiled out. Gate
-# (docs/observability.md): the end-to-end hot paths, warm-jit-dispatch
-# and http-rps (the live-loopback HTTP baseline), must stay within
-# 1.03x of the uninstrumented baseline. The micro scenarios
+# (docs/observability.md): the end-to-end hot paths, inline-session
+# (a traced live session through TuningService::run_inline) and
+# http-rps (the live-loopback HTTP baseline), must stay within 1.03x
+# of the uninstrumented baseline. The micro scenarios
 # (counter-add, histogram-observe, cache-claim, http-handle) are
 # reported for trend-watching but not gated — a lone atomic add has no
 # meaningful "off" baseline to divide by, and the per-request span is
@@ -209,10 +144,8 @@ cmake --build "${OBS_OFF_DIR}" -j "${JOBS}" --target obs_overhead
 # binaries decorrelates slow machine drift from the on/off comparison
 # (a loaded CI box must not fail the gate, nor mask a regression).
 for i in 1 2 3; do
-  "${BUILD_DIR}/obs_overhead" --artifact-dir "${IO_TMP}/obs-on" \
-      --out "${IO_TMP}/obs_on_${i}.json"
-  "${OBS_OFF_DIR}/obs_overhead" --artifact-dir "${IO_TMP}/obs-off" \
-      --out "${IO_TMP}/obs_off_${i}.json"
+  "${BUILD_DIR}/obs_overhead" --out "${IO_TMP}/obs_on_${i}.json"
+  "${OBS_OFF_DIR}/obs_overhead" --out "${IO_TMP}/obs_off_${i}.json"
 done
 IO_TMP="${IO_TMP}" python3 - <<'EOF'
 import json, os, sys
@@ -229,7 +162,7 @@ def minima(prefix, expect_enabled):
     return best
 on = minima("obs_on", True)
 off = minima("obs_off", False)
-GATED = ("warm-jit-dispatch", "http-rps")
+GATED = ("inline-session", "http-rps")
 GATE = 1.03
 merged = {"gate_max_ratio": GATE, "scenarios": {}}
 ok = True
@@ -281,6 +214,19 @@ SERVER="127.0.0.1:${NET_PORT}"
     | grep -q '"cross_session_hits": [1-9]' \
     || { echo "expected cross-session hits across remote clients"; exit 1; }
 "${BUILD_DIR}/tune" remote spaces --server "${SERVER}" > /dev/null
+
+# --any-node failover: the first candidate is a dead port, the client
+# must skip it and use the live server. Session ids are per node, so
+# the id commands must refuse the flag instead of failing over.
+"${BUILD_DIR}/tune" remote stats --server "127.0.0.1:1,${SERVER}" \
+    --any-node > /dev/null \
+    || { echo "--any-node failed to skip the dead node"; exit 1; }
+if "${BUILD_DIR}/tune" remote get --server "${SERVER}" --any-node --id 1 \
+    > /dev/null 2> "${NET_TMP}/any_node_get.err"; then
+  echo "remote get accepted --any-node"; exit 1
+fi
+grep -q 'unknown flag --any-node' "${NET_TMP}/any_node_get.err" \
+    || { echo "remote get --any-node failed for the wrong reason"; exit 1; }
 
 # obs: the same live server must answer health, the operator summary
 # and a per-session span timeline, and its /v1/metrics exposition must
@@ -480,106 +426,6 @@ print(f"overload: {over['rejected_429']} x 429, goodput "
       f"{over['goodput_rps']:.0f} req/s (halves ratio {flat:.2f})")
 ok &= over["rejected_429"] > 0 and over["failures"] == 0
 ok &= flat >= 0.7
-sys.exit(0 if ok else 1)
-EOF
-
-echo "=== cluster stage: 3-node loopback cluster ==="
-# Three real `tune serve --peers` nodes on loopback, a 16-session grid
-# driven through node 1 only. The distributed cache must still dedupe
-# cluster-wide: /v1/stats on node 1 must show cluster_cache_hits > 0
-# (repeated seeds re-probe configurations owned by nodes 2 and 3), the
-# same spec must produce identical results from every node, and all
-# three nodes must shut down cleanly on SIGINT.
-read -r CP1 CP2 CP3 <<<"$(python3 - <<'EOF'
-import socket
-socks = [socket.socket() for _ in range(3)]
-for s in socks:
-    s.bind(("127.0.0.1", 0))
-print(" ".join(str(s.getsockname()[1]) for s in socks))
-for s in socks:
-    s.close()
-EOF
-)"
-PEERS="127.0.0.1:${CP1},127.0.0.1:${CP2},127.0.0.1:${CP3}"
-for p in "${CP1}" "${CP2}" "${CP3}"; do
-  "${BUILD_DIR}/tune" serve --port "${p}" --peers "${PEERS}" \
-      > "${NET_TMP}/node_${p}.log" 2>&1 &
-  CLUSTER_PIDS+=($!)
-done
-for p in "${CP1}" "${CP2}" "${CP3}"; do
-  up=""
-  for _ in $(seq 1 100); do
-    grep -q "listening on" "${NET_TMP}/node_${p}.log" && { up=1; break; }
-    sleep 0.1
-  done
-  [ -n "${up}" ] || { echo "cluster node on port ${p} never came up"; exit 1; }
-done
-NODE1="127.0.0.1:${CP1}"
-
-GRID_PIDS=()
-for i in $(seq 0 15); do
-  tuner=local; [ $((i % 2)) -eq 1 ] && tuner=annealing
-  "${BUILD_DIR}/tune" remote run --server "${NODE1}" --kernel gemm \
-      --tuner "${tuner}" --budget 40 --seed $((7 + i % 3)) \
-      --backend replay > "${NET_TMP}/grid_${i}.log" 2>&1 &
-  GRID_PIDS+=($!)
-done
-for pid in "${GRID_PIDS[@]}"; do
-  wait "${pid}" || { echo "a grid session through node 1 failed"; exit 1; }
-done
-
-"${BUILD_DIR}/tune" remote stats --server "${NODE1}" \
-    > "${NET_TMP}/node1_stats.json"
-grep -q '"cluster_cache_hits": [1-9]' "${NET_TMP}/node1_stats.json" \
-    || { echo "expected cross-node cache hits on node 1"; exit 1; }
-
-# Any node answers any session identically (the distributed cache is
-# the only state); only the server-side wall clock may differ.
-"${BUILD_DIR}/tune" remote run --server "127.0.0.1:${CP2}" --kernel gemm \
-    --tuner local --budget 40 --seed 7 --backend replay \
-    | sed 's/, server wall:.*//' > "${NET_TMP}/node2_run.txt"
-"${BUILD_DIR}/tune" remote run --server "127.0.0.1:${CP3}" --kernel gemm \
-    --tuner local --budget 40 --seed 7 --backend replay \
-    | sed 's/, server wall:.*//' > "${NET_TMP}/node3_run.txt"
-cmp "${NET_TMP}/node2_run.txt" "${NET_TMP}/node3_run.txt" \
-    || { echo "nodes 2 and 3 disagree on an identical spec"; exit 1; }
-
-# --any-node failover: first candidate is a dead port, the client must
-# skip it and use node 1.
-"${BUILD_DIR}/tune" remote stats --server "127.0.0.1:1,${NODE1}" \
-    --any-node > /dev/null \
-    || { echo "--any-node failed to skip the dead node"; exit 1; }
-
-for pid in "${CLUSTER_PIDS[@]}"; do
-  kill -INT "${pid}"
-done
-for pid in "${CLUSTER_PIDS[@]}"; do
-  wait "${pid}" || { echo "a cluster node exited non-zero"; exit 1; }
-done
-CLUSTER_PIDS=()
-echo "3-node cluster ok (ports ${CP1}/${CP2}/${CP3})"
-
-echo "=== cluster throughput (BENCH_cluster.json): dedup + compact relay ==="
-# Gates (the cluster's two claims, from the in-process 3-node bench):
-#   exactly_once      cluster-wide unique evaluations <= single-node;
-#   traces_identical  every session trace bit-identical to single-node;
-#   relay_ratio       delta-frame bytes < 25% of naive JSON re-shipping;
-#   cluster_cache_hits > 0 (the cluster actually shared something).
-"${BUILD_DIR}/cluster_throughput" --sessions 12 --budget 40 \
-    --out BENCH_cluster.json > /dev/null
-python3 - <<'EOF'
-import json, sys
-with open("BENCH_cluster.json") as f:
-    report = json.load(f)
-single, cluster = report["single"], report["cluster"]
-ratio = cluster["relay_ratio"]
-print(f"single: {single['evaluations']} evals in {single['wall_ms']:.0f}ms; "
-      f"cluster: {cluster['evaluations']} evals in {cluster['wall_ms']:.0f}ms, "
-      f"{cluster['cluster_cache_hits']} cross-node hits, "
-      f"relay ratio {ratio:.3f}")
-ok = report["exactly_once"] and report["traces_identical"]
-ok &= cluster["cluster_cache_hits"] > 0
-ok &= ratio < 0.25
 sys.exit(0 if ok else 1)
 EOF
 

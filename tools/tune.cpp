@@ -5,18 +5,14 @@
 // each paper artifact to an invocation):
 //
 //   tune run    --kernel gemm --tuner local --budget 150 --seed 42
-//               [--device 0|RTX_3090] [--backend live|replay|jit]
-//               [--dataset path.csv] [--artifact-dir DIR]
+//               [--device 0|RTX_3090] [--backend live|replay]
+//               [--dataset path.csv]
 //       One session; prints the trace summary and best configuration.
-//       --backend jit evaluates through per-config compiled shared
-//       objects (docs/jit.md) — results identical to live, and the
-//       "jit:" line reports compiles / artifact-cache traffic for the
-//       run (a second run on the same --artifact-dir compiles nothing).
 //
 //   tune grid   --kernels gemm,hotspot --tuners local,annealing,ils
 //               --sessions 16 [--budget 150] [--seed 1000] [--device 0]
-//               [--backend live|replay|jit] [--workers N] [--shards 16]
-//               [--no-shared-cache] [--artifact-dir DIR]
+//               [--backend live|replay] [--workers N] [--shards 16]
+//               [--no-shared-cache]
 //       Round-robins the kernel x tuner combinations into --sessions
 //       concurrent sessions (seeds increment per session) through one
 //       TuningService; reports per-session results plus the sharded
@@ -55,10 +51,9 @@
 //               [--client-rps R [--client-burst B]]
 //               [--group-rps R [--group-burst B] [--group-prefix-bits 24]]
 //               [--force-poll] [--workers N] [--shards 16]
-//               [--dataset-dir DIR] [--artifact-dir DIR]
+//               [--dataset-dir DIR]
 //               [--journal-dir DIR [--journal-retain N]
 //                [--journal-checkpoint-bytes BYTES]]
-//               [--peers h1:p1,h2:p2,... [--peer-timeout-ms 2000]]
 //               [--log-level debug|info|warn|error|off]
 //       Runs the HTTP/1.1 JSON API (docs/http-api.md) over one
 //       TuningService until SIGINT/SIGTERM. --port 0 picks an
@@ -70,11 +65,7 @@
 //       session id and result is write-ahead journaled, and a restart
 //       on the same directory restores completed results and re-runs
 //       unfinished sessions under their original ids — kill -9 loses
-//       nothing that was acknowledged. --peers joins a static tuning
-//       cluster (docs/cluster.md): the list is the full membership,
-//       identical on every node, and must include this node's own
-//       host:port (so --port must be explicit). Peer and loopback
-//       traffic is exempt from the rate limiter.
+//       nothing that was acknowledged.
 //
 //   tune remote <run|submit|get|stats|spaces|health|top|trace>
 //               --server host:port[,...]
@@ -93,11 +84,11 @@
 //                /v1/healthz + /v1/stats.
 //         trace  --id N: span timeline of a tracked session
 //                (GET /v1/sessions/<id>/trace).
-//       --any-node: --server may list several cluster nodes; each is
-//       probed (bounded timeouts) and the first live one is used —
-//       the distributed cache makes any node's answer identical.
-#include <arpa/inet.h>
-
+//       --any-node (run, submit, stats, spaces, health, top): --server
+//       may list several independent `tune serve` nodes; each is probed
+//       (bounded timeouts) and the first live one is used. Backends are
+//       deterministic, so every node answers a `run` identically.
+//       Session ids are per node, so get and trace take one server.
 #include <charconv>
 #include <csignal>
 #include <cmath>
@@ -113,7 +104,6 @@
 #include <vector>
 
 #include "api/api_server.hpp"
-#include "cluster/cluster_node.hpp"
 #include "common/json.hpp"
 #include "common/statistics.hpp"
 #include "common/string_util.hpp"
@@ -261,7 +251,7 @@ void print_cache_stats(const service::TuningService& svc) {
 
 int cmd_run(const Args& args) {
   args.require_known({"kernel", "tuner", "device", "budget", "seed",
-                      "backend", "dataset", "artifact-dir"});
+                      "backend", "dataset"});
   // With --dataset the kernel defaults to the dataset's own benchmark
   // (mirroring cmd_replay) so the archive is registered against the
   // space it was swept from.
@@ -287,9 +277,7 @@ int cmd_run(const Args& args) {
   spec.device = resolve_device(
       *bench, args.get("device", dataset ? dataset->device_name() : "0"));
 
-  service::ServiceOptions svc_options;
-  svc_options.artifact_dir = args.get("artifact-dir", "");
-  service::TuningService svc(svc_options);
+  service::TuningService svc;
   if (dataset) {
     svc.register_dataset(spec.kernel, spec.device, std::move(*dataset));
     spec.backend = "replay";
@@ -306,20 +294,6 @@ int cmd_run(const Args& args) {
   if (result.status == service::SessionStatus::kFailed) return 1;
   std::printf("distinct evaluations: %zu, wall: %.1fms\n",
               result.run.trace.size(), result.wall_ms);
-  if (spec.backend == "jit") {
-    // Machine-greppable (tools/ci.sh asserts a warm second run shows
-    // compiles=0 with nonzero artifact_cache_hits).
-    const auto jit = svc.jit_stats();
-    std::printf("jit: compiles=%llu compile_failures=%llu "
-                "artifact_cache_hits=%llu artifact_cache_misses=%llu "
-                "fallback_evals=%llu compile_ms=%.1f\n",
-                static_cast<unsigned long long>(jit.compiles),
-                static_cast<unsigned long long>(jit.compile_failures),
-                static_cast<unsigned long long>(jit.artifact_cache_hits),
-                static_cast<unsigned long long>(jit.artifact_cache_misses),
-                static_cast<unsigned long long>(jit.fallback_evals),
-                jit.compile_ms);
-  }
   if (result.run.best) {
     std::printf("best: %.4fms at config index %llu\n",
                 result.run.best->objective,
@@ -341,7 +315,7 @@ int cmd_run(const Args& args) {
 int cmd_grid(const Args& args) {
   args.require_known({"kernels", "tuners", "sessions", "budget", "seed",
                       "device", "backend", "workers", "shards",
-                      "no-shared-cache", "dataset-dir", "artifact-dir"});
+                      "no-shared-cache", "dataset-dir"});
   const auto kernel_names =
       common::split(args.get("kernels", "gemm,hotspot"), ',');
   const auto tuner_names =
@@ -361,7 +335,6 @@ int cmd_grid(const Args& args) {
   // this directory (binary ones zero-copy via mmap) and persist swept
   // datasets back into it.
   options.dataset_dir = args.get("dataset-dir", "");
-  options.artifact_dir = args.get("artifact-dir", "");
   service::TuningService svc(options);
 
   // One device resolution per kernel, not per session.
@@ -406,18 +379,6 @@ int cmd_grid(const Args& args) {
   }
   std::fputs(table.to_string().c_str(), stdout);
   print_cache_stats(svc);
-  const auto jit = svc.jit_stats();
-  if (jit.backends != 0) {
-    std::printf("jit: compiles=%llu compile_failures=%llu "
-                "artifact_cache_hits=%llu artifact_cache_misses=%llu "
-                "fallback_evals=%llu compile_ms=%.1f\n",
-                static_cast<unsigned long long>(jit.compiles),
-                static_cast<unsigned long long>(jit.compile_failures),
-                static_cast<unsigned long long>(jit.artifact_cache_hits),
-                static_cast<unsigned long long>(jit.artifact_cache_misses),
-                static_cast<unsigned long long>(jit.fallback_evals),
-                jit.compile_ms);
-  }
   return failed ? 1 : 0;
 }
 
@@ -649,13 +610,11 @@ int cmd_info(const Args& args) {
 int cmd_serve(const Args& args) {
   args.require_known({"port", "host", "http-workers", "max-connections",
                       "max-body", "workers", "shards", "dataset-dir",
-                      "artifact-dir",
                       "event-loops", "admission-capacity", "retry-after",
                       "client-rps", "client-burst", "group-rps",
                       "group-burst", "group-prefix-bits", "force-poll",
                       "journal-dir", "journal-retain",
-                      "journal-checkpoint-bytes", "peers",
-                      "peer-timeout-ms", "log-level"});
+                      "journal-checkpoint-bytes", "log-level"});
   // Set the log level before anything can log (journal recovery below
   // emits info lines; a --log-level error boot should not).
   if (args.has("log-level")) {
@@ -687,56 +646,15 @@ int cmd_serve(const Args& args) {
                                 std::to_string(port));
   }
 
-  // One process-wide registry: cluster node, service (and through it
-  // journal + jit backends), HTTP transport and API server all record
-  // here, so GET /v1/metrics is a single scrape of everything.
+  // One process-wide registry: service (and through it the journal),
+  // HTTP transport and API server all record here, so GET /v1/metrics
+  // is a single scrape of everything.
   auto metrics = std::make_shared<obs::MetricsRegistry>();
-
-  // Cluster membership (optional). The node is declared *before* the
-  // service and server so it is destroyed after both: sessions hold
-  // DistributedMeasurementCache pointers into it, and HTTP workers
-  // dispatch /v1/peers/* into it until server.stop() returns.
-  std::unique_ptr<cluster::ClusterNode> node;
-  const std::string peers_flag = args.get("peers", "");
-  if (!peers_flag.empty()) {
-    cluster::ClusterOptions cluster_options;
-    for (const auto& part : common::split(peers_flag, ',')) {
-      cluster_options.members.push_back(cluster::parse_peer_address(part));
-    }
-    // Self is matched by the listen address. An ephemeral --port 0
-    // can't appear in a static membership list every node shares.
-    if (port == 0) {
-      throw std::invalid_argument(
-          "--peers requires an explicit --port (the membership list "
-          "must name this node's real listen address)");
-    }
-    cluster_options.self_index = cluster_options.members.size();
-    for (std::size_t i = 0; i < cluster_options.members.size(); ++i) {
-      const auto& m = cluster_options.members[i];
-      if (m.host == host && m.port == port) {
-        cluster_options.self_index = i;
-        break;
-      }
-    }
-    if (cluster_options.self_index == cluster_options.members.size()) {
-      throw std::invalid_argument("--peers list must include this node (" +
-                                  host + ":" + std::to_string(port) + ")");
-    }
-    const int peer_timeout =
-        static_cast<int>(args.get_size("peer-timeout-ms", 2000));
-    cluster_options.connect_timeout_ms = peer_timeout;
-    cluster_options.io_timeout_ms = peer_timeout;
-    cluster_options.cache_shards = args.get_size("shards", 16);
-    cluster_options.metrics = metrics;
-    node = std::make_unique<cluster::ClusterNode>(std::move(cluster_options));
-  }
 
   service::ServiceOptions service_options;
   service_options.workers = args.get_size("workers", 0);
   service_options.cache_shards = args.get_size("shards", 16);
   service_options.dataset_dir = args.get("dataset-dir", "");
-  service_options.artifact_dir = args.get("artifact-dir", "");
-  service_options.cluster = node.get();
   service_options.journal_dir = args.get("journal-dir", "");
   service_options.journal_retain_completed =
       args.get_size("journal-retain", 1024);
@@ -762,7 +680,6 @@ int cmd_serve(const Args& args) {
   }
 
   api::ApiOptions api_options;
-  api_options.cluster = node.get();
   api_options.metrics = metrics;
   api_options.http.host = host;
   api_options.http.port = static_cast<std::uint16_t>(port);
@@ -787,42 +704,14 @@ int cmd_serve(const Args& args) {
       args.get_double("group-burst", 0.0);
   api_options.http.rate_limit.group_prefix_bits =
       static_cast<int>(args.get_size("group-prefix-bits", 24));
-  if (node) {
-    // Peer RPC traffic must never be policed: a throttled claim RPC
-    // would surface as a (spurious) peer failure and flap health.
-    // Exempt loopback plus every member's resolved IPv4; everything
-    // else still pays the configured buckets.
-    std::vector<std::uint32_t> peer_ips;
-    for (std::size_t i = 0; i < node->peers().size(); ++i) {
-      in_addr addr{};
-      const auto& peer_host = node->peers().address(i).host;
-      if (inet_pton(AF_INET, peer_host.c_str(), &addr) == 1) {
-        peer_ips.push_back(ntohl(addr.s_addr));
-      }
-    }
-    api_options.http.rate_limit.exempt =
-        [peer_ips = std::move(peer_ips)](std::uint32_t ipv4) {
-          if ((ipv4 >> 24) == 127u) return true;
-          for (const auto peer : peer_ips) {
-            if (peer == ipv4) return true;
-          }
-          return false;
-        };
-  }
   api::ApiServer server(svc, api_options);
   server.start();
-  if (node) node->start();
 
   std::printf("tune serve: listening on http://%s:%u "
               "(http workers=%zu, event loops=%zu, service workers=%zu)\n",
               api_options.http.host.c_str(), server.port(),
               api_options.http.workers, api_options.http.event_loops,
               svc.workers());
-  if (node) {
-    std::printf("tune serve: cluster node %zu of %zu (peers: %s)\n",
-                node->peers().self_index(), node->peers().size(),
-                peers_flag.c_str());
-  }
   if (api_options.http.rate_limit.enabled()) {
     std::printf("tune serve: rate limit client=%.1f rps (burst %.1f), "
                 "group=%.1f rps (/%d)\n",
@@ -842,11 +731,8 @@ int cmd_serve(const Args& args) {
   // so in-flight sessions (HTTP workers blocked in run_inline) stop at
   // their next batch boundary — stopping the server first would join
   // those workers only after their sessions ran to natural completion.
-  // The cluster node goes last: stopping it earlier would strand peers
-  // mid-lookup while local sessions still hold its distributed caches.
   svc.shutdown();
   server.stop();
-  if (node) node->stop();
   std::printf("http: %llu connections, %llu requests, %llu rate-limited, "
               "%llu shed, %llu over-capacity\n",
               static_cast<unsigned long long>(
@@ -866,17 +752,18 @@ int cmd_serve(const Args& args) {
 
 /// "--server host:port[,host:port...]" -> a connected-on-demand client.
 /// With --any-node (and a comma list), each candidate is probed with
-/// finite timeouts and the first responsive node wins — cluster caches
-/// are global, so any node answers any session identically.
+/// finite timeouts and the first responsive node wins. The nodes share
+/// nothing; deterministic backends are what make any node's answer to
+/// a `run` identical.
 net::HttpClient remote_client(const Args& args) {
   const std::string server = args.get("server", "");
   if (server.empty()) {
     throw std::invalid_argument(
         "tune remote requires --server <host:port>[,host:port...]");
   }
-  std::vector<cluster::PeerAddress> candidates;
+  std::vector<net::HostPort> candidates;
   for (const auto& part : common::split(server, ',')) {
-    candidates.push_back(cluster::parse_peer_address(part));
+    candidates.push_back(net::parse_host_port(part));
   }
   if (!args.has("any-node")) {
     if (candidates.size() != 1) {
@@ -1017,7 +904,9 @@ int cmd_remote_submit(const Args& args) {
 }
 
 int cmd_remote_get(const Args& args) {
-  args.require_known({"server", "any-node", "id"});
+  // No --any-node: ids are per node, so failing over would silently
+  // answer with another node's session of the same id.
+  args.require_known({"server", "id"});
   if (!args.has("id")) {
     std::fprintf(stderr, "tune remote get requires --id <n>\n");
     return 2;
@@ -1071,15 +960,6 @@ int cmd_remote_top(const Args& args) {
                   cache.at("evaluations").as_uint()),
               static_cast<unsigned long long>(
                   cache.at("cross_session_hits").as_uint()));
-  const auto& jit = stats.at("jit");
-  std::printf("jit:      backends=%llu compiles=%llu cache_hits=%llu "
-              "failures=%llu\n",
-              static_cast<unsigned long long>(jit.at("backends").as_uint()),
-              static_cast<unsigned long long>(jit.at("compiles").as_uint()),
-              static_cast<unsigned long long>(
-                  jit.at("artifact_cache_hits").as_uint()),
-              static_cast<unsigned long long>(
-                  jit.at("compile_failures").as_uint()));
   const auto& http = stats.at("http");
   std::printf("http:     requests=%llu open=%llu rate_limited=%llu "
               "shed=%llu\n",
@@ -1109,7 +989,7 @@ int cmd_remote_top(const Args& args) {
 /// `tune remote trace --id N`: the span timeline of a tracked session,
 /// one line per span with offsets relative to the first span.
 int cmd_remote_trace(const Args& args) {
-  args.require_known({"server", "any-node", "id"});
+  args.require_known({"server", "id"});  // ids are per node
   if (!args.has("id")) {
     std::fprintf(stderr, "tune remote trace requires --id <n>\n");
     return 2;
@@ -1181,17 +1061,17 @@ void print_usage() {
       "          [--workers N] [--shards P] [--dataset-dir DIR]\n"
       "          [--journal-dir DIR [--journal-retain N]\n"
       "           [--journal-checkpoint-bytes BYTES]]\n"
-      "          [--peers h1:p1,h2:p2,... [--peer-timeout-ms 2000]]\n"
       "          [--log-level debug|info|warn|error|off]\n"
       "  remote  <run|submit|get|stats|spaces|health|top|trace>\n"
       "          --server host:port[,...]\n"
-      "          [--any-node] (probe the list, use the first live node)\n"
+      "          [--any-node] (probe the list, use the first live node;\n"
+      "           not for get and trace: ids are per node)\n"
       "          run: spec flags like `tune run` [--async] [--poll-ms MS]\n"
       "          submit: spec flags; prints the bare session id\n"
       "          get: --id N\n"
       "          health: build id, uptime, ready|draining\n"
       "          top: one-shot operational summary (sessions, cache,\n"
-      "               jit, http, journal)\n"
+      "               http, journal)\n"
       "          trace: --id N; span timeline of a tracked session\n"
       "see docs/reproducing-the-paper.md for figure/table recipes,\n"
       "docs/dataset-format.md for the binary archive layout,\n"
