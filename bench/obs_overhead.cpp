@@ -15,7 +15,8 @@
 //   inline-session      one TuningService::run_inline live session
 //                       (pnpoly, local, budget 100) inside a trace
 //                       scope: the instrumented evaluation path POST
-//                       /v1/sessions:run takes — backend.batch spans,
+//                       /v1/sessions:run takes — the coalesced
+//                       backend.batch span of its one-config batches,
 //                       session counters, the duration histogram
 //                       (gated)
 //   http-handle         GET /v1/healthz through the transport's

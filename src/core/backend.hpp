@@ -40,6 +40,7 @@
 #include "core/search_space.hpp"
 #include "core/shared_cache.hpp"
 #include "core/trace.hpp"
+#include "obs/trace.hpp"
 
 namespace bat::core {
 
@@ -198,6 +199,9 @@ class CountingBackend final : public EvaluationBackend {
   std::unordered_map<ConfigIndex, Measurement> cache_;
   std::vector<TraceEntry> trace_;
   std::string name_;
+  /// A sequential tuner's consecutive one-config batches, traced as one
+  /// span; a larger batch, or the end of the session, closes it.
+  obs::SpanRun one_config_run_{"backend.batch", "configs=1 batches="};
 };
 
 }  // namespace bat::core

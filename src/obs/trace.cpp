@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 
+#include "common/log.hpp"
 #include "obs/metrics.hpp"
 
 namespace bat::obs {
@@ -152,6 +154,55 @@ ScopedSpan::~ScopedSpan() {
   span.end_ns = end_ns;
   span.name = name_;
   span.detail = std::move(detail_);
+  trace_buffer().record(std::move(span));
+#endif
+}
+
+SpanRun::SpanRun(const char* name, const char* detail_prefix) noexcept
+#ifndef BAT_OBS_OFF
+    : name_(name), detail_prefix_(detail_prefix) {
+}
+#else
+{
+  (void)name;
+  (void)detail_prefix;
+}
+#endif
+
+SpanRun::~SpanRun() {
+#ifndef BAT_OBS_OFF
+  try {
+    close();
+  } catch (const std::exception& e) {
+    // A span is telemetry: failing to record one must not end the
+    // session that owns the run.
+    common::log_error("trace: dropped a ", name_, " span run: ", e.what());
+  }
+#endif
+}
+
+void SpanRun::add() noexcept {
+#ifndef BAT_OBS_OFF
+  if (trace_ == 0) {
+    trace_ = t_current_trace;
+    if (trace_ == 0) return;
+    start_ns_ = monotonic_now_ns();
+  }
+  ++adds_;
+#endif
+}
+
+void SpanRun::close() {
+#ifndef BAT_OBS_OFF
+  if (trace_ == 0) return;
+  Span span;
+  span.trace_id = trace_;
+  span.start_ns = start_ns_;
+  span.end_ns = monotonic_now_ns();
+  span.name = name_;
+  span.detail = detail_prefix_ + std::to_string(adds_);
+  trace_ = 0;
+  adds_ = 0;
   trace_buffer().record(std::move(span));
 #endif
 }

@@ -14,6 +14,9 @@
 //     over the global pool) is timed from the requesting thread
 //     instead — the span covers the wait, which is what the session
 //     actually spent;
+//   * a site whose scopes are too short to pay for a span each (a
+//     sequential tuner's one-config backend batches) records one
+//     SpanRun per run of consecutive scopes instead;
 //   * spans land in one process-wide bounded ring (trace_buffer()),
 //     lock-striped so concurrent recorders hit different mutexes;
 //     wraparound overwrites the oldest spans per stripe (newest
@@ -158,6 +161,39 @@ class ScopedSpan {
   const char* name_ = nullptr;
   Histogram* duration_ = nullptr;
   std::string detail_;
+#endif
+};
+
+/// One span for a run of consecutive short scopes at one site, where a
+/// ScopedSpan each would cost a good share of the work it times: a
+/// sequential tuner's one-config backend batches take about 1us each,
+/// and a recorded span costs two ~50ns clock reads plus the ring
+/// insert. The first add() on a traced thread opens the run (one clock
+/// read); close(), or destruction, records [open, close) under the
+/// trace that was active at open, with detail "<detail_prefix><adds>".
+/// The span also covers the caller's own work between the scopes: it
+/// places the run on the timeline, it does not price each scope.
+class SpanRun {
+ public:
+  SpanRun(const char* name, const char* detail_prefix) noexcept;
+  ~SpanRun();
+
+  SpanRun(const SpanRun&) = delete;
+  SpanRun& operator=(const SpanRun&) = delete;
+
+  /// Counts one scope into the run, opening it if the thread is traced
+  /// and no run is open. Untraced: one TLS read + branch.
+  void add() noexcept;
+  /// Records the open run, if any, and starts over.
+  void close();
+
+ private:
+#ifndef BAT_OBS_OFF
+  const char* name_;
+  const char* detail_prefix_;
+  std::uint64_t trace_ = 0;  // nonzero while a run is open
+  std::uint64_t start_ns_ = 0;
+  std::uint64_t adds_ = 0;
 #endif
 };
 

@@ -151,7 +151,10 @@ class SessionLog {
                                                  const SessionResult& result);
   /// Strict decoders: throw std::invalid_argument on any leftover or
   /// missing bytes (a record that passed its CRC but does not parse
-  /// was written by an incompatible build — reject, don't guess).
+  /// was written by an incompatible build — reject, don't guess). The
+  /// one exception: a result payload may also end in exactly the
+  /// 40-byte legacy compile-cost trailer, which decode_result skips
+  /// (docs/durability.md).
   [[nodiscard]] static std::pair<std::uint64_t, SessionSpec> decode_submit(
       const std::string& payload);
   [[nodiscard]] static std::pair<std::uint64_t, SessionResult> decode_result(

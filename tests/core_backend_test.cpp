@@ -7,6 +7,7 @@
 #include "core/evaluator.hpp"
 #include "core/runner.hpp"
 #include "kernels/all_kernels.hpp"
+#include "obs/trace.hpp"
 
 namespace bat::core {
 namespace {
@@ -92,6 +93,30 @@ TEST(CountingBackend, CacheHitsAreFree) {
   (void)counting.evaluate_batch(indices);  // all hits
   EXPECT_EQ(counting.evaluations(), after_first);
 }
+
+#ifndef BAT_OBS_OFF
+TEST(CountingBackend, OneConfigBatchesShareASpanAndLargerBatchesGetTheirOwn) {
+  const auto bench = kernels::make("pnpoly");
+  LiveBackend live(*bench, 0);
+  const auto indices = sample_indices(*bench, 6, 6);
+  const std::uint64_t id = obs::mint_trace_id();
+  {
+    obs::TraceScope scope(id);
+    CountingBackend counting(live, 10);
+    for (std::size_t i = 0; i < 3; ++i) {
+      (void)counting.evaluate(indices[i]);
+    }
+    (void)counting.evaluate_batch(std::span(indices).subspan(3, 2));
+    (void)counting.evaluate(indices[5]);  // closed by destruction
+  }
+  const auto spans = obs::trace_buffer().for_trace(id);
+  ASSERT_EQ(spans.size(), 3u);
+  for (const auto& span : spans) EXPECT_EQ(span.name, "backend.batch");
+  EXPECT_EQ(spans[0].detail, "configs=1 batches=3");
+  EXPECT_EQ(spans[1].detail, "configs=2");
+  EXPECT_EQ(spans[2].detail, "configs=1 batches=1");
+}
+#endif  // BAT_OBS_OFF
 
 TEST(CountingBackend, DuplicatesWithinABatchChargeOnce) {
   const auto bench = kernels::make("pnpoly");

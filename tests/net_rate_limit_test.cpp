@@ -214,9 +214,8 @@ TEST(RateLimiter, DisabledScopesAdmitEverything) {
 }
 
 TEST(RateLimiter, SameSubnetClientsThrottleWithoutExemption) {
-  // The counterpart: with no exempt predicate installed, loopback
-  // addresses share the /24 group bucket like anyone else — which is
-  // the behavior the overload CI gate depends on.
+  // Loopback addresses share the /24 group bucket like anyone else,
+  // which is the behavior the overload CI gate depends on.
   RateLimitOptions options;
   options.per_group_rps = 1.0;
   options.per_group_burst = 2.0;

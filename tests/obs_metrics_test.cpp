@@ -214,6 +214,33 @@ TEST(Tracing, ScopedSpanRecordsOnlyUnderAnActiveTrace) {
   EXPECT_LE(spans[1].end_ns, spans[0].end_ns);
 }
 
+TEST(Tracing, SpanRunRecordsOneSpanPerRun) {
+  const std::uint64_t before = trace_buffer().recorded();
+  {
+    SpanRun untraced("untraced.run", "adds=");
+    untraced.add();
+    untraced.close();
+  }
+  EXPECT_EQ(trace_buffer().recorded(), before);
+
+  const std::uint64_t id = mint_trace_id();
+  {
+    TraceScope scope(id);
+    SpanRun run("run", "adds=");
+    for (int i = 0; i < 3; ++i) run.add();
+    run.close();
+    run.close();  // nothing open: records nothing
+    run.add();    // a second run, closed by destruction
+  }
+  const auto spans = trace_buffer().for_trace(id);
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].name, "run");
+  EXPECT_EQ(spans[0].detail, "adds=3");
+  EXPECT_EQ(spans[1].detail, "adds=1");
+  EXPECT_LE(spans[0].start_ns, spans[0].end_ns);
+  EXPECT_LE(spans[0].end_ns, spans[1].start_ns);
+}
+
 TEST(Tracing, MintedIdsAreUniqueAcrossThreads) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 1000;
