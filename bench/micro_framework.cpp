@@ -29,7 +29,6 @@
 #include "core/runner.hpp"
 #include "io/dataset_file.hpp"
 #include "io/dataset_view.hpp"
-#include "io/replay_view.hpp"
 #include "kernels/all_kernels.hpp"
 #include "ml/gbdt.hpp"
 #include "net/http.hpp"
@@ -307,11 +306,10 @@ void BM_BatchEvaluateReplay(benchmark::State& state) {
 BENCHMARK(BM_BatchEvaluateReplay)->Arg(64)->Arg(1024);
 
 // ------------------------------------------------------------- dataset io --
-// The persistence before/after pairs (tools/ci.sh exports them as
+// The persistence data points (tools/ci.sh exports them as
 // BENCH_io.json): cold-open cost of a 10k-row archive — full CSV parse
-// vs mmap + O(1) header/footer decode — and replay lookup cost — the
-// owned in-memory Measurement table built from a CSV-loaded Dataset vs
-// zero-copy reads straight off the mmap'ed binary columns.
+// vs mmap + O(1) header/footer decode — and the replay lookup cost of
+// the Measurement table a ReplayBackend copies from its rows.
 
 struct DatasetIoFixture {
   std::unique_ptr<core::Benchmark> bench;
@@ -377,20 +375,6 @@ void BM_ReplayLookupCsvLoaded(benchmark::State& state) {
                           static_cast<std::int64_t>(fixture.lookups.size()));
 }
 BENCHMARK(BM_ReplayLookupCsvLoaded);
-
-// Replay lookups served zero-copy from the mmap'ed binary columns.
-void BM_ReplayLookupMmap(benchmark::State& state) {
-  const auto& fixture = dataset_io_fixture();
-  io::MmapReplayBackend backend(fixture.bench->space(),
-                                io::DatasetView::open(fixture.bin_path));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        backend.evaluate_batch(fixture.lookups).front().time_ms);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(fixture.lookups.size()));
-}
-BENCHMARK(BM_ReplayLookupMmap);
 
 // ------------------------------------------------------- http wire layer --
 // The per-request fixed costs of the network front-end: framing one

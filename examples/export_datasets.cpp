@@ -5,7 +5,7 @@
 //   $ ./export_datasets [output_dir] [samples]
 //
 // Writes one CSV (interchange) and one binary columnar archive
-// (performance: `tune replay --dataset x.bin` opens it zero-copy) per
+// (performance: opening it is O(1), no text parse) per
 // (benchmark, device) with the paper's §V design: exhaustive for the
 // four small spaces, `samples` random configurations for the three
 // large ones. Datasets resolve through the shared io::DatasetRepository

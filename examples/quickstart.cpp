@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
   std::printf("progress  :");
   for (std::size_t k : {1u, 5u, 10u, 25u, 50u, 100u, 200u}) {
     if (k <= run.best_so_far.size()) {
-      std::printf(" @%u:%.3fms", k, run.best_so_far[k - 1]);
+      std::printf(" @%zu:%.3fms", k, run.best_so_far[k - 1]);
     }
   }
   std::printf("\n");

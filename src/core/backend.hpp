@@ -2,29 +2,28 @@
 //
 // EvaluationBackend is the seam between "what to evaluate" (tuners,
 // runners, analyses — all speak ConfigIndex batches) and "how it is
-// evaluated". Three implementations cover the paper's modes:
+// evaluated". Two implementations cover the paper's modes:
 //
 //   * LiveBackend    — calls Benchmark::evaluate, fanning batches out over
 //                      the shared ThreadPool (many independent simulated
 //                      kernel launches per batch).
-//   * ReplayBackend  — serves a precomputed Dataset: the paper's tabular-
+//   * ReplayBackend  — serves a swept dataset (an in-memory core::Dataset
+//                      or a mmap'ed io::DatasetView): the paper's tabular-
 //                      benchmark mode, making tuner comparisons free after
 //                      one Runner sweep.
-//   * CountingBackend— decorator adding the tuner-side bookkeeping: a
-//                      distinct-evaluation budget, a memoization cache and
-//                      the chronological trace (cache hits are free).
+//
+// The tuner-side bookkeeping (budget, memo, trace, cross-session
+// sharing) is not a backend: it is the per-session CachingEvaluator
+// (core/evaluator.hpp) that drives one.
 //
 // All backends are deterministic: identical index batches always yield
 // identical measurements, so live and replay paths are interchangeable.
 //
 // Ownership / thread-safety: backends borrow the Benchmark / SearchSpace
-// / Dataset they are built over (the caller keeps those alive).
-// LiveBackend and ReplayBackend are stateless under evaluate_batch and
-// may be shared by concurrent sessions; CountingBackend is per-session
-// state (budget, cache, trace) and must only be driven by one thread at
-// a time. Cross-session sharing and cancellation are opt-in via
-// EvaluationHooks (core/shared_cache.hpp), threaded in by the service
-// layer.
+// they are built over (the caller keeps those alive); ReplayBackend
+// copies its rows and keeps no reference to the row source. Both are
+// stateless under evaluate_batch and may be shared by concurrent
+// sessions.
 #pragma once
 
 #include <memory>
@@ -35,12 +34,8 @@
 
 #include "core/benchmark.hpp"
 #include "core/compiled_space.hpp"
-#include "core/dataset.hpp"
 #include "core/measurement.hpp"
 #include "core/search_space.hpp"
-#include "core/shared_cache.hpp"
-#include "core/trace.hpp"
-#include "obs/trace.hpp"
 
 namespace bat::core {
 
@@ -77,13 +72,14 @@ class EvaluationBackend {
 };
 
 /// Live evaluation through a (benchmark, device) pair. Batches of at
-/// least `parallel_threshold` fan out over ThreadPool::global(); smaller
-/// batches stay on the calling thread (a single evaluation is far cheaper
-/// than a pool handoff).
+/// least kParallelThreshold configs fan out over ThreadPool::global();
+/// smaller batches stay on the calling thread (a single evaluation is
+/// far cheaper than a pool handoff).
 class LiveBackend final : public EvaluationBackend {
  public:
-  LiveBackend(const Benchmark& benchmark, DeviceIndex device,
-              std::size_t parallel_threshold = 8);
+  static constexpr std::size_t kParallelThreshold = 8;
+
+  LiveBackend(const Benchmark& benchmark, DeviceIndex device);
 
   [[nodiscard]] const std::string& name() const override { return name_; }
   [[nodiscard]] const SearchSpace& space() const override {
@@ -92,22 +88,16 @@ class LiveBackend final : public EvaluationBackend {
   [[nodiscard]] std::vector<Measurement> evaluate_batch(
       std::span<const ConfigIndex> indices) override;
 
-  [[nodiscard]] const Benchmark& benchmark() const noexcept {
-    return *benchmark_;
-  }
-  [[nodiscard]] DeviceIndex device() const noexcept { return device_; }
-
  private:
   const Benchmark* benchmark_;
   DeviceIndex device_;
-  std::size_t parallel_threshold_;
   std::string name_;
 };
 
-/// Tabular replay of a precomputed Dataset. Requesting an index the
-/// dataset does not cover throws std::out_of_range — replay is only
-/// sound when the dataset covers every configuration a client may ask
-/// for (e.g. an exhaustive Runner sweep).
+/// Tabular replay of a swept dataset. Requesting an index the dataset
+/// does not cover throws std::out_of_range — replay is only sound when
+/// the dataset covers every configuration a client may ask for (e.g. an
+/// exhaustive Runner sweep).
 ///
 /// Storage is batched by valid-ordinal when the compiled space has a
 /// materialized valid set: a lookup is one rank probe plus an array
@@ -115,10 +105,16 @@ class LiveBackend final : public EvaluationBackend {
 /// or containing rows outside the valid set, fall back to a hash table.
 class ReplayBackend final : public EvaluationBackend {
  public:
-  /// `space` must be the search space the dataset was built from (and
-  /// must outlive this backend); the dataset rows are keyed by their
-  /// ConfigIndex within that space.
-  ReplayBackend(const SearchSpace& space, const Dataset& dataset);
+  /// `space` must be the search space the dataset was swept from (and
+  /// must outlive this backend); rows are keyed by their ConfigIndex
+  /// within that space. `dataset` is any row source with Dataset's row
+  /// API (size, config_index, time_ms, status, source, param_names,
+  /// benchmark_name, device_name): an in-memory core::Dataset, or an
+  /// io::DatasetView reading an archive's mmap'ed columns. Construction
+  /// copies one Measurement per covered configuration and keeps no
+  /// reference to `dataset`.
+  template <class Rows>
+  ReplayBackend(const SearchSpace& space, const Rows& dataset);
 
   [[nodiscard]] const std::string& name() const override { return name_; }
   [[nodiscard]] const SearchSpace& space() const override { return *space_; }
@@ -129,6 +125,12 @@ class ReplayBackend final : public EvaluationBackend {
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
  private:
+  /// The one-time fallback warning (kept out of line so this header
+  /// needs no logging include).
+  void warn_outside_valid_set(
+      const std::string& source, std::size_t row, ConfigIndex index,
+      const std::vector<std::string>& dataset_params) const;
+
   const SearchSpace* space_;
   std::shared_ptr<const CompiledSpace> compiled_;  // kept alive with us
   bool ordinal_mode_ = false;
@@ -139,69 +141,50 @@ class ReplayBackend final : public EvaluationBackend {
   std::string name_;
 };
 
-/// Decorator adding budget + cache + trace on top of any backend.
-///
-/// The budget counts *distinct* configurations (cache hits are free,
-/// matching how tuners are usually charged). A batch whose cache misses
-/// would overflow the remaining budget is truncated: the misses that
-/// still fit are evaluated and recorded, then BudgetExhausted is thrown —
-/// so the trace always ends exactly at the budget boundary, identical to
-/// charging one evaluation at a time.
-///
-/// With EvaluationHooks: a set cancellation token makes every
-/// evaluate_batch throw EvaluationCancelled up front, and a shared
-/// cross-session cache is consulted for each budget-charged miss before
-/// falling through to the inner backend (exactly-once evaluation across
-/// sessions; this session's budget/trace accounting is unchanged).
-class CountingBackend final : public EvaluationBackend {
- public:
-  CountingBackend(EvaluationBackend& inner, std::size_t budget,
-                  EvaluationHooks hooks = {});
-
-  [[nodiscard]] const std::string& name() const override { return name_; }
-  [[nodiscard]] const SearchSpace& space() const override {
-    return inner_->space();
+template <class Rows>
+ReplayBackend::ReplayBackend(const SearchSpace& space, const Rows& dataset)
+    : space_(&space),
+      compiled_(space.compiled_shared()),
+      size_(dataset.size()),
+      name_("replay:" + dataset.benchmark_name() + "@" +
+            dataset.device_name()) {
+  if (compiled_->has_valid_set()) {
+    // Ordinal mode: measurements live in a flat array indexed by
+    // valid-ordinal. Bail out to the hash table if any row falls outside
+    // the valid set (a foreign or corrupted dataset).
+    by_ordinal_.assign(static_cast<std::size_t>(compiled_->num_valid()),
+                       Measurement{});
+    covered_.assign(by_ordinal_.size(), 0);
+    ordinal_mode_ = true;
+    for (std::size_t row = 0; row < dataset.size(); ++row) {
+      const auto ordinal = compiled_->rank(dataset.config_index(row));
+      if (!ordinal) {
+        // One-time (per construction) warning: foreign datasets whose
+        // rows fall outside this space's valid set silently lose the
+        // O(1) rank lookup, so tell the user where the rows came from
+        // and why replay just got slower.
+        warn_outside_valid_set(dataset.source(), row,
+                               dataset.config_index(row),
+                               dataset.param_names());
+        ordinal_mode_ = false;
+        by_ordinal_.clear();
+        covered_.clear();
+        break;
+      }
+      // First row wins on duplicate indices, matching the hash-mode
+      // emplace semantics (lookups must not depend on storage mode).
+      if (covered_[static_cast<std::size_t>(*ordinal)] != 0) continue;
+      by_ordinal_[static_cast<std::size_t>(*ordinal)] =
+          Measurement{dataset.time_ms(row), dataset.status(row)};
+      covered_[static_cast<std::size_t>(*ordinal)] = 1;
+    }
+    if (ordinal_mode_) return;
   }
-  [[nodiscard]] std::vector<Measurement> evaluate_batch(
-      std::span<const ConfigIndex> indices) override;
-
-  [[nodiscard]] std::size_t evaluations() const noexcept {
-    return trace_.size();
+  table_.reserve(dataset.size());
+  for (std::size_t row = 0; row < dataset.size(); ++row) {
+    table_.emplace(dataset.config_index(row),
+                   Measurement{dataset.time_ms(row), dataset.status(row)});
   }
-  [[nodiscard]] std::size_t budget() const noexcept { return budget_; }
-  [[nodiscard]] bool exhausted() const noexcept {
-    return trace_.size() >= budget_;
-  }
-  /// True once a set cancellation hook aborted an evaluate_batch (i.e.
-  /// EvaluationCancelled was thrown): the run stopped *because* of the
-  /// token, as opposed to ending naturally below budget.
-  [[nodiscard]] bool cancelled() const noexcept { return cancelled_; }
-
-  /// Chronological distinct-evaluation trace.
-  [[nodiscard]] const std::vector<TraceEntry>& trace() const noexcept {
-    return trace_;
-  }
-
-  [[nodiscard]] EvaluationBackend& inner() noexcept { return *inner_; }
-
- private:
-  /// Resolves `misses` through the shared cross-session cache: claims
-  /// every miss first (non-blocking), evaluates + publishes the claimed
-  /// ones through the inner backend, then waits for the pending ones.
-  /// Results align with `misses`.
-  [[nodiscard]] std::vector<Measurement> resolve_through_shared_cache(
-      const std::vector<ConfigIndex>& misses);
-
-  EvaluationBackend* inner_;
-  std::size_t budget_;
-  EvaluationHooks hooks_;
-  bool cancelled_ = false;
-  std::unordered_map<ConfigIndex, Measurement> cache_;
-  std::vector<TraceEntry> trace_;
-  std::string name_;
-  /// A sequential tuner's consecutive one-config batches, traced as one
-  /// span; a larger batch, or the end of the session, closes it.
-  obs::SpanRun one_config_run_{"backend.batch", "configs=1 batches="};
-};
+}
 
 }  // namespace bat::core

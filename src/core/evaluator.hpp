@@ -1,35 +1,45 @@
 // CachingEvaluator: what a tuner actually sees.
 //
-// A thin Config-level adapter over an EvaluationBackend wrapped in a
-// CountingBackend: it memoizes evaluations by ConfigIndex, enforces a
-// distinct-evaluation budget (cache hits are free) and records the full
-// evaluation trace — the paper's convergence plots (Fig 2) are "best
-// objective so far vs number of *distinct* function evaluations".
+// The per-session evaluation state over an EvaluationBackend: it
+// memoizes evaluations by ConfigIndex, enforces a distinct-evaluation
+// budget (cache hits are free) and records the full evaluation trace —
+// the paper's convergence plots (Fig 2) are "best objective so far vs
+// number of *distinct* function evaluations".
 //
 // Tuners drive it two ways:
-//   * exception-driven: operator()(config) one evaluation at a time until
-//     BudgetExhausted is thrown (the classic single-point tuners);
+//   * exception-driven: operator()(config) or evaluate_index(index) one
+//     evaluation at a time until BudgetExhausted is thrown (the classic
+//     single-point tuners);
 //   * batched ask/tell: evaluate_batch(configs) sends a whole population
 //     generation through the backend in one call, which LiveBackend fans
 //     out over the thread pool. A batch crossing the budget boundary is
 //     truncated so the trace ends exactly at the budget, byte-identical
 //     to charging one evaluation at a time.
+// All three calls share one index-batch path, and each call sends the
+// backend one evaluate_batch at most: the call's first-occurrence
+// misses, or — with a shared cache hooked in — the misses this session
+// claimed (a claim another session abandons is then taken over one
+// config at a time).
 //
 // Swapping the backend (live vs replay) never changes what a tuner
 // observes, only where the measurements come from.
 //
 // Ownership / thread-safety: a CachingEvaluator is per-session state
-// (budget, memo cache, trace) driven by exactly one thread at a time; it
+// (budget, memo, trace) driven by exactly one thread at a time; it
 // borrows the backend and anything the optional EvaluationHooks point at
 // (shared cache, cancellation token), all of which must outlive it.
 // Concurrency across sessions lives behind those hooks, not here.
 #pragma once
 
 #include <optional>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "core/backend.hpp"
+#include "core/shared_cache.hpp"
 #include "core/trace.hpp"
+#include "obs/trace.hpp"
 
 namespace bat::core {
 
@@ -40,8 +50,7 @@ class CachingEvaluator {
   /// point at (shared cross-session cache, cancellation token — see
   /// core/shared_cache.hpp; default hooks mean standalone behavior).
   CachingEvaluator(EvaluationBackend& backend, std::size_t budget,
-                   EvaluationHooks hooks = {})
-      : counting_(backend, budget, hooks) {}
+                   EvaluationHooks hooks = {});
 
   /// Evaluates (or recalls) one configuration. Throws BudgetExhausted
   /// when a cache miss would exceed the budget.
@@ -50,9 +59,7 @@ class CachingEvaluator {
   /// Index-native single evaluation: no Config round-trip. This is what
   /// the neighbor-driven tuners call from
   /// CompiledSpace::for_each_valid_neighbor_index loops.
-  double evaluate_index(ConfigIndex index) {
-    return counting_.evaluate(index).objective();
-  }
+  double evaluate_index(ConfigIndex index);
 
   /// Evaluates a batch of configurations; results align with `configs`.
   /// Distinct cache misses are evaluated through one backend batch (in
@@ -62,42 +69,57 @@ class CachingEvaluator {
   std::vector<double> evaluate_batch(const std::vector<Config>& configs);
 
   [[nodiscard]] const SearchSpace& space() const noexcept {
-    return counting_.space();
+    return backend_->space();
   }
 
   [[nodiscard]] std::size_t evaluations() const noexcept {
-    return counting_.evaluations();
+    return trace_.size();
   }
-  [[nodiscard]] std::size_t budget() const noexcept {
-    return counting_.budget();
-  }
-  [[nodiscard]] bool cancelled() const noexcept {
-    return counting_.cancelled();
-  }
+  [[nodiscard]] std::size_t budget() const noexcept { return budget_; }
+  /// True once a set cancellation hook aborted an evaluation (i.e.
+  /// EvaluationCancelled was thrown): the run stopped *because* of the
+  /// token, as opposed to ending naturally below budget.
+  [[nodiscard]] bool cancelled() const noexcept { return cancelled_; }
   [[nodiscard]] bool exhausted() const noexcept {
-    return counting_.exhausted();
+    return trace_.size() >= budget_;
   }
 
   /// Chronological distinct-evaluation trace.
   [[nodiscard]] const std::vector<TraceEntry>& trace() const noexcept {
-    return counting_.trace();
+    return trace_;
   }
 
   /// Best (lowest-objective) evaluation so far, if any finite one exists.
   [[nodiscard]] std::optional<TraceEntry> best() const {
-    return trace_best(counting_.trace());
+    return trace_best(trace_);
   }
 
   /// best-so-far objective after each distinct evaluation (length ==
   /// evaluations()); used directly by convergence analysis.
   [[nodiscard]] std::vector<double> best_so_far() const {
-    return trace_best_so_far(counting_.trace());
+    return trace_best_so_far(trace_);
   }
 
-  [[nodiscard]] CountingBackend& counting() noexcept { return counting_; }
-
  private:
-  CountingBackend counting_;
+  /// The one evaluation path; objectives align with `indices`.
+  std::vector<double> evaluate_indices(std::span<const ConfigIndex> indices);
+
+  /// Resolves `misses` through the shared cross-session cache: claims
+  /// every miss first (non-blocking), evaluates + publishes the claimed
+  /// ones through the backend, then waits for the pending ones.
+  /// Results align with `misses`.
+  [[nodiscard]] std::vector<Measurement> resolve_through_shared_cache(
+      const std::vector<ConfigIndex>& misses);
+
+  EvaluationBackend* backend_;
+  std::size_t budget_;
+  EvaluationHooks hooks_;
+  bool cancelled_ = false;
+  std::unordered_map<ConfigIndex, double> memo_;  // index -> objective
+  std::vector<TraceEntry> trace_;
+  /// A sequential tuner's consecutive one-config batches, traced as one
+  /// span; a larger batch, or the end of the session, closes it.
+  obs::SpanRun one_config_run_{"backend.batch", "configs=1 batches="};
 };
 
 }  // namespace bat::core

@@ -21,8 +21,8 @@
 // every miss without blocking, then evaluate and publish all owned
 // claims, and only then wait() for the pending ones. A claim owner never
 // blocks on another session while holding claims, so every pending entry
-// resolves in finite time. CountingBackend implements this dance; see
-// CountingBackend::evaluate_batch.
+// resolves in finite time. CachingEvaluator implements this dance; see
+// CachingEvaluator::resolve_through_shared_cache.
 //
 // Ownership / thread-safety: implementations must be fully thread-safe
 // (every method may be called from any thread concurrently); the cache
@@ -71,11 +71,11 @@ class SharedMeasurementCache {
   [[nodiscard]] virtual std::optional<Measurement> wait(ConfigIndex index) = 0;
 };
 
-/// Optional per-session hooks threaded from the service layer down into
-/// CountingBackend (and therefore CachingEvaluator / run_tuner). Both
-/// pointers are borrowed: the service owning the session must keep them
-/// alive for the whole run. Defaults reproduce the standalone behavior
-/// exactly — no sharing, no cancellation.
+/// Optional per-session hooks threaded from the service layer through
+/// run_tuner into the session's CachingEvaluator. Both pointers are
+/// borrowed: the service owning the session must keep them alive for
+/// the whole run. Defaults reproduce the standalone behavior exactly —
+/// no sharing, no cancellation.
 struct EvaluationHooks {
   /// Cross-session cache; measurements are published to and recalled
   /// from it, but budget/trace accounting is unchanged (a shared hit is
@@ -83,8 +83,8 @@ struct EvaluationHooks {
   /// with and without the cache — backends are deterministic).
   SharedMeasurementCache* shared_cache = nullptr;
 
-  /// Cooperative cancellation flag, checked at every batch boundary;
-  /// when set, the next evaluate_batch throws EvaluationCancelled
+  /// Cooperative cancellation flag, checked at every evaluator call;
+  /// when set, the next evaluation throws EvaluationCancelled
   /// (a BudgetExhausted subclass, so tuners stop gracefully with the
   /// partial trace they have).
   const std::atomic<bool>* cancel = nullptr;

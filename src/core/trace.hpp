@@ -4,7 +4,7 @@
 // paid for; the paper's convergence plots (Fig 2) are "best objective so
 // far vs number of distinct function evaluations". trace_best /
 // trace_best_so_far are the single source of those statistics, shared by
-// CountingBackend, run_tuner and analysis/convergence.
+// CachingEvaluator, run_tuner and analysis/convergence.
 //
 // Traces are plain values owned by the session that produced them; the
 // exception types below are the cross-layer stop signals (tuners treat

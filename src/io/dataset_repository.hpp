@@ -12,7 +12,8 @@
 // TuningService refuses to sweep non-enumerable spaces for replay) use
 // it to decide before paying for (3). view() exposes the zero-copy
 // mmap path to a key's binary archive for consumers that do not want a
-// materialized Dataset at all (io::MmapReplayBackend).
+// materialized Dataset at all (the service builds its replay backends
+// straight from a view: core::ReplayBackend over an io::DatasetView).
 //
 // Ownership / thread-safety: all methods are thread-safe (one mutex;
 // sweeps run outside it, first insert wins — backends are

@@ -15,7 +15,9 @@
 // Ownership / thread-safety: immutable after open; concurrent reads
 // from any number of threads need no synchronization. Consumers that
 // outlive the opening scope share the view via shared_ptr
-// (io::MmapReplayBackend keeps its view alive this way).
+// (io::DatasetRepository caches its views this way). core::ReplayBackend
+// replays a view directly: it reads the row API below once and copies
+// one Measurement per covered configuration.
 #pragma once
 
 #include <cstdint>

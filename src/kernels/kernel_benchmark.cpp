@@ -40,11 +40,4 @@ core::Measurement KernelBenchmark::evaluate(const core::Config& config,
   return core::Measurement::valid(noisy);
 }
 
-std::optional<double> KernelBenchmark::model_time(
-    const core::Config& config, core::DeviceIndex device) const {
-  BAT_EXPECTS(device < device_count());
-  if (!space_.is_valid(config)) return std::nullopt;
-  return model_time_ms(config, gpusim::paper_devices()[device]);
-}
-
 }  // namespace bat::kernels

@@ -32,10 +32,6 @@ class KernelBenchmark : public core::Benchmark {
   [[nodiscard]] core::Measurement evaluate(
       const core::Config& config, core::DeviceIndex device) const override;
 
-  /// Noise-free model time; exposed for calibration tests.
-  [[nodiscard]] std::optional<double> model_time(
-      const core::Config& config, core::DeviceIndex device) const;
-
  protected:
   /// The per-kernel analytical model. `config` is already known to satisfy
   /// the static constraints. Returns nullopt for device-invalid launches.

@@ -6,7 +6,6 @@
 #include "common/log.hpp"
 #include "core/backend.hpp"
 #include "core/runner.hpp"
-#include "io/replay_view.hpp"
 #include "kernels/all_kernels.hpp"
 #include "obs/trace.hpp"
 #include "service/session_json.hpp"
@@ -432,15 +431,14 @@ void TuningService::build_workload(const SessionSpec& spec,
   if (spec.backend == "replay") {
     const std::string device_name =
         workload->benchmark->device_name(spec.device);
-    // Zero-copy first: a binary archive in dataset_dir (and no
-    // registered in-memory dataset shadowing it) replays straight off
-    // the mmap'ed columns.
-    if (auto view = repo_.view(spec.kernel, device_name)) {
+    // A binary archive in dataset_dir (and no registered in-memory
+    // dataset shadowing it) replays from its mmap'ed columns, without
+    // materializing a Dataset.
+    if (const auto view = repo_.view(spec.kernel, device_name)) {
       common::log_info("service: replaying ", spec.kernel, "@", device_name,
-                       " zero-copy from ", view->source());
-      workload->backend = std::make_unique<io::MmapReplayBackend>(
-          workload->benchmark->space(), view);
-      workload->view = std::move(view);
+                       " from ", view->source());
+      workload->backend = std::make_unique<core::ReplayBackend>(
+          workload->benchmark->space(), *view);
     } else {
       auto dataset = repo_.find(spec.kernel, device_name);
       if (!dataset) {
@@ -456,7 +454,6 @@ void TuningService::build_workload(const SessionSpec& spec,
       }
       workload->backend = std::make_unique<core::ReplayBackend>(
           workload->benchmark->space(), *dataset);
-      workload->dataset = std::move(dataset);
     }
   } else {
     workload->backend =

@@ -61,7 +61,6 @@
 #include "core/backend.hpp"
 #include "core/dataset.hpp"
 #include "io/dataset_repository.hpp"
-#include "io/dataset_view.hpp"
 #include "obs/metrics.hpp"
 #include "service/session.hpp"
 #include "service/session_log.hpp"
@@ -80,9 +79,10 @@ struct ServiceOptions {
   /// session evaluates everything itself (for A/B comparisons).
   bool share_cache = true;
   /// Disk cache for replay datasets, handed to the service's
-  /// DatasetRepository: binary archives found there replay zero-copy
-  /// (mmap), and service-swept datasets persist back into it. "" keeps
-  /// the repository memory-only (the pre-io behavior).
+  /// DatasetRepository: binary archives found there replay from their
+  /// mmap'ed columns, copied once per workload (no Dataset is
+  /// materialized), and service-swept datasets persist back into it.
+  /// "" keeps the repository memory-only (the pre-io behavior).
   std::string dataset_dir;
   /// Durable session journal directory. "" (default) keeps the
   /// tracked-session registry memory-only (a restart forgets it); set,
@@ -192,13 +192,10 @@ class TuningService {
 
  private:
   /// Everything sessions on one (kernel, device, backend) triple share.
-  /// Replay workloads hold exactly one of dataset/view: an in-memory
-  /// (repository-resolved) dataset behind a ReplayBackend, or a mmap'ed
-  /// binary archive behind a zero-copy io::MmapReplayBackend.
+  /// A replay backend copies its rows from the repository-resolved
+  /// dataset or mmap'ed archive, and borrows neither.
   struct Workload {
     std::unique_ptr<core::Benchmark> benchmark;
-    std::shared_ptr<const core::Dataset> dataset;
-    std::shared_ptr<const io::DatasetView> view;
     std::unique_ptr<core::EvaluationBackend> backend;
     std::shared_ptr<ShardedMeasurementCache> cache;
   };

@@ -51,11 +51,6 @@ void Tuner::tell(const std::vector<core::Config>&, const std::vector<double>&,
                  common::Rng&) {}
 
 TuningRun run_tuner(Tuner& tuner, core::EvaluationBackend& backend,
-                    std::size_t budget, std::uint64_t seed) {
-  return run_tuner(tuner, backend, budget, seed, core::EvaluationHooks{});
-}
-
-TuningRun run_tuner(Tuner& tuner, core::EvaluationBackend& backend,
                     std::size_t budget, std::uint64_t seed,
                     const core::EvaluationHooks& hooks) {
   core::CachingEvaluator evaluator(backend, budget, hooks);

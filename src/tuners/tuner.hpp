@@ -26,7 +26,7 @@
 // distinct tuner instances over a shared stateless backend; that is
 // exactly how service::TuningService executes sessions in parallel,
 // threading per-session EvaluationHooks (shared measurement cache,
-// cancellation token) through the overload below.
+// cancellation token) through run_tuner's `hooks` argument.
 #pragma once
 
 #include <memory>
@@ -90,19 +90,15 @@ struct TuningRun {
 };
 
 /// Runs the tuner against an arbitrary evaluation backend (live, replay,
-/// ...) with an explicit seed and returns the collected run.
-[[nodiscard]] TuningRun run_tuner(Tuner& tuner,
-                                  core::EvaluationBackend& backend,
-                                  std::size_t budget, std::uint64_t seed);
-
-/// Same, with per-session hooks (cross-session measurement sharing and
-/// cooperative cancellation — what service::TuningService threads in).
-/// Hooks never change the produced trace, only where measurements come
-/// from and whether the run may stop early at a batch boundary.
+/// ...) with an explicit seed and returns the collected run. `hooks`
+/// adds cross-session measurement sharing and cooperative cancellation
+/// (what service::TuningService threads in); they never change the
+/// produced trace, only where measurements come from and whether the
+/// run may stop early at a batch boundary.
 [[nodiscard]] TuningRun run_tuner(Tuner& tuner,
                                   core::EvaluationBackend& backend,
                                   std::size_t budget, std::uint64_t seed,
-                                  const core::EvaluationHooks& hooks);
+                                  const core::EvaluationHooks& hooks = {});
 
 /// Convenience: live evaluation over (benchmark, device).
 [[nodiscard]] TuningRun run_tuner(Tuner& tuner, const core::Benchmark& bench,

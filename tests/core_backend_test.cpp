@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 #include "core/backend.hpp"
 #include "core/evaluator.hpp"
 #include "core/runner.hpp"
 #include "kernels/all_kernels.hpp"
 #include "obs/trace.hpp"
+#include "service/sharded_cache.hpp"
 
 namespace bat::core {
 namespace {
@@ -24,6 +27,44 @@ std::vector<ConfigIndex> sample_indices(const Benchmark& bench, std::size_t n,
   }
   return out;
 }
+
+/// First occurrences of sample_indices(bench, n, seed), in draw order.
+std::vector<ConfigIndex> distinct_indices(const Benchmark& bench,
+                                          std::size_t n, std::uint64_t seed) {
+  std::vector<ConfigIndex> out;
+  for (const auto index : sample_indices(bench, n, seed)) {
+    if (std::find(out.begin(), out.end(), index) == out.end()) {
+      out.push_back(index);
+    }
+  }
+  return out;
+}
+
+std::vector<Config> configs_at(const Benchmark& bench,
+                               const std::vector<ConfigIndex>& indices) {
+  std::vector<Config> out;
+  const auto& params = bench.space().params();
+  for (const auto i : indices) out.push_back(params.config_at(i));
+  return out;
+}
+
+/// Live measurements, plus a record of every batch the backend is sent;
+/// `fail` makes each batch throw instead (after recording it).
+struct RecordingBackend final : EvaluationBackend {
+  explicit RecordingBackend(const Benchmark& bench) : live(bench, 0) {}
+  const std::string& name() const override { return live.name(); }
+  const SearchSpace& space() const override { return live.space(); }
+  std::vector<Measurement> evaluate_batch(
+      std::span<const ConfigIndex> indices) override {
+    batches.emplace_back(indices.begin(), indices.end());
+    if (fail) throw std::runtime_error("backend failure");
+    return live.evaluate_batch(indices);
+  }
+
+  LiveBackend live;
+  std::vector<std::vector<ConfigIndex>> batches;
+  bool fail = false;
+};
 
 TEST(LiveBackend, BatchMatchesElementWiseEvaluation) {
   const auto bench = kernels::make("pnpoly");
@@ -42,13 +83,15 @@ TEST(LiveBackend, BatchMatchesElementWiseEvaluation) {
 
 TEST(LiveBackend, SmallBatchStaysSerialAndIdentical) {
   const auto bench = kernels::make("pnpoly");
-  LiveBackend serial(*bench, 0, /*parallel_threshold=*/1'000'000);
-  LiveBackend parallel(*bench, 0, /*parallel_threshold=*/2);
+  LiveBackend backend(*bench, 0);
   const auto indices = sample_indices(*bench, 16, 2);
-  const auto a = serial.evaluate_batch(indices);
-  const auto b = parallel.evaluate_batch(indices);
+  static_assert(16 >= LiveBackend::kParallelThreshold);
+  const auto fanned_out = backend.evaluate_batch(indices);
+  ASSERT_EQ(fanned_out.size(), indices.size());
   for (std::size_t i = 0; i < indices.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a[i].objective(), b[i].objective());
+    const auto serial = backend.evaluate(indices[i]);  // one-config batch
+    EXPECT_DOUBLE_EQ(fanned_out[i].objective(), serial.objective());
+    EXPECT_EQ(fanned_out[i].status, serial.status);
   }
 }
 
@@ -81,34 +124,39 @@ TEST(ReplayBackend, ThrowsOnUncoveredIndex) {
   EXPECT_THROW((void)backend.evaluate_batch(missing), std::out_of_range);
 }
 
-TEST(CountingBackend, CacheHitsAreFree) {
+TEST(CachingEvaluator, CacheHitsAreFree) {
   const auto bench = kernels::make("pnpoly");
-  LiveBackend live(*bench, 0);
-  CountingBackend counting(live, 10);
+  RecordingBackend backend(*bench);
+  CachingEvaluator eval(backend, 10);
   const auto indices = sample_indices(*bench, 4, 4);
+  const auto configs = configs_at(*bench, indices);
 
-  (void)counting.evaluate_batch(indices);
-  EXPECT_LE(counting.evaluations(), 4u);  // distinct only
-  const std::size_t after_first = counting.evaluations();
-  (void)counting.evaluate_batch(indices);  // all hits
-  EXPECT_EQ(counting.evaluations(), after_first);
+  (void)eval.evaluate_batch(configs);
+  EXPECT_LE(eval.evaluations(), 4u);  // distinct only
+  const std::size_t after_first = eval.evaluations();
+  // All hits, whichever call asks: nothing is charged or sent.
+  (void)eval.evaluate_batch(configs);
+  for (const auto& config : configs) (void)eval(config);
+  for (const auto index : indices) (void)eval.evaluate_index(index);
+  EXPECT_EQ(eval.evaluations(), after_first);
+  EXPECT_EQ(backend.batches.size(), 1u);
 }
 
 #ifndef BAT_OBS_OFF
-TEST(CountingBackend, OneConfigBatchesShareASpanAndLargerBatchesGetTheirOwn) {
+TEST(CachingEvaluator, OneConfigBatchesShareASpanAndLargerBatchesGetTheirOwn) {
   const auto bench = kernels::make("pnpoly");
   LiveBackend live(*bench, 0);
   const auto indices = sample_indices(*bench, 6, 6);
   const std::uint64_t id = obs::mint_trace_id();
   {
     obs::TraceScope scope(id);
-    CountingBackend counting(live, 10);
+    CachingEvaluator eval(live, 10);
     for (std::size_t i = 0; i < 3; ++i) {
-      (void)counting.evaluate(indices[i]);
+      (void)eval.evaluate_index(indices[i]);
     }
-    (void)counting.evaluate_batch(std::span(indices).subspan(3, 2));
-    (void)counting.evaluate(indices[5]);  // closed by destruction
-  }
+    (void)eval.evaluate_batch(configs_at(*bench, {indices[3], indices[4]}));
+    (void)eval(bench->space().params().config_at(indices[5]));
+  }  // the evaluator's destruction closes the last run
   const auto spans = obs::trace_buffer().for_trace(id);
   ASSERT_EQ(spans.size(), 3u);
   for (const auto& span : spans) EXPECT_EQ(span.name, "backend.batch");
@@ -118,65 +166,125 @@ TEST(CountingBackend, OneConfigBatchesShareASpanAndLargerBatchesGetTheirOwn) {
 }
 #endif  // BAT_OBS_OFF
 
-TEST(CountingBackend, DuplicatesWithinABatchChargeOnce) {
+TEST(CachingEvaluator, DuplicatesWithinABatchChargeOnce) {
   const auto bench = kernels::make("pnpoly");
   LiveBackend live(*bench, 0);
-  CountingBackend counting(live, 10);
+  CachingEvaluator eval(live, 10);
   const auto one = sample_indices(*bench, 1, 5);
-  const std::vector<ConfigIndex> batch{one[0], one[0], one[0]};
-  const auto results = counting.evaluate_batch(batch);
+  const auto results =
+      eval.evaluate_batch(configs_at(*bench, {one[0], one[0], one[0]}));
   ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(counting.evaluations(), 1u);
-  EXPECT_DOUBLE_EQ(results[0].objective(), results[2].objective());
+  EXPECT_EQ(eval.evaluations(), 1u);
+  EXPECT_DOUBLE_EQ(results[0], results[2]);
 }
 
-TEST(CountingBackend, BudgetBoundaryIsExactForBatches) {
+TEST(CachingEvaluator, BudgetBoundaryIsExactForBatches) {
   const auto bench = kernels::make("pnpoly");
-  const auto indices = sample_indices(*bench, 64, 6);
-  std::vector<ConfigIndex> distinct;
-  for (const auto i : indices) {  // keep first occurrences only
-    bool seen = false;
-    for (const auto d : distinct) seen = seen || d == i;
-    if (!seen) distinct.push_back(i);
-  }
+  const auto distinct = distinct_indices(*bench, 64, 6);
   ASSERT_GE(distinct.size(), 8u);
 
-  LiveBackend live(*bench, 0);
-  CountingBackend counting(live, 5);
-  // A batch crossing the boundary evaluates exactly up to the budget,
-  // records those entries, then throws.
-  EXPECT_THROW((void)counting.evaluate_batch(
-                   std::span<const ConfigIndex>(distinct.data(), 8)),
+  RecordingBackend backend(*bench);
+  CachingEvaluator eval(backend, 5);
+  // A batch crossing the boundary sends the backend only the misses
+  // that fit, records those entries, then throws.
+  EXPECT_THROW((void)eval.evaluate_batch(configs_at(
+                   *bench, {distinct.begin(), distinct.begin() + 8})),
                BudgetExhausted);
-  EXPECT_EQ(counting.evaluations(), 5u);
-  EXPECT_TRUE(counting.exhausted());
+  EXPECT_EQ(eval.evaluations(), 5u);
+  EXPECT_TRUE(eval.exhausted());
+  ASSERT_EQ(backend.batches.size(), 1u);
+  EXPECT_EQ(backend.batches[0],
+            std::vector<ConfigIndex>(distinct.begin(), distinct.begin() + 5));
   for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(counting.trace()[i].index, distinct[i]);
+    EXPECT_EQ(eval.trace()[i].index, distinct[i]);
   }
   // Cache hits keep working after exhaustion; any further miss throws.
-  const std::vector<ConfigIndex> hit{distinct[0]};
-  EXPECT_NO_THROW((void)counting.evaluate_batch(hit));
-  const std::vector<ConfigIndex> miss{distinct[6]};
-  EXPECT_THROW((void)counting.evaluate_batch(miss), BudgetExhausted);
+  // Neither reaches the backend.
+  EXPECT_NO_THROW((void)eval.evaluate_index(distinct[0]));
+  EXPECT_THROW((void)eval.evaluate_index(distinct[6]), BudgetExhausted);
+  EXPECT_EQ(backend.batches.size(), 1u);
 }
 
-TEST(CountingBackend, BatchExactlyFillingBudgetDoesNotThrow) {
+TEST(CachingEvaluator, BatchExactlyFillingBudgetDoesNotThrow) {
   const auto bench = kernels::make("pnpoly");
-  const auto indices = sample_indices(*bench, 64, 7);
-  std::vector<ConfigIndex> distinct;
-  for (const auto i : indices) {
-    bool seen = false;
-    for (const auto d : distinct) seen = seen || d == i;
-    if (!seen) distinct.push_back(i);
-  }
+  const auto distinct = distinct_indices(*bench, 64, 7);
   ASSERT_GE(distinct.size(), 5u);
 
   LiveBackend live(*bench, 0);
-  CountingBackend counting(live, 5);
-  EXPECT_NO_THROW((void)counting.evaluate_batch(
-      std::span<const ConfigIndex>(distinct.data(), 5)));
-  EXPECT_EQ(counting.evaluations(), 5u);
-  EXPECT_TRUE(counting.exhausted());
+  CachingEvaluator eval(live, 5);
+  EXPECT_NO_THROW((void)eval.evaluate_batch(
+      configs_at(*bench, {distinct.begin(), distinct.begin() + 5})));
+  EXPECT_EQ(eval.evaluations(), 5u);
+  EXPECT_TRUE(eval.exhausted());
+}
+
+// What the backend is sent: each evaluator call sends at most one
+// batch, holding only that call's first-occurrence misses, in order.
+TEST(CachingEvaluator, BackendSeesOnlyFirstOccurrenceMissesOneBatchPerCall) {
+  const auto bench = kernels::make("pnpoly");
+  const auto d = distinct_indices(*bench, 64, 12);
+  ASSERT_GE(d.size(), 6u);
+  RecordingBackend backend(*bench);
+  CachingEvaluator eval(backend, 10);
+
+  (void)eval.evaluate_batch(configs_at(*bench, {d[0], d[1], d[0], d[2], d[1]}));
+  ASSERT_EQ(backend.batches.size(), 1u);
+  EXPECT_EQ(backend.batches[0], (std::vector<ConfigIndex>{d[0], d[1], d[2]}));
+
+  // A mixed call sends only its misses; a single miss is a batch of one.
+  (void)eval.evaluate_batch(configs_at(*bench, {d[4], d[0], d[3], d[4]}));
+  (void)eval.evaluate_index(d[5]);
+  ASSERT_EQ(backend.batches.size(), 3u);
+  EXPECT_EQ(backend.batches[1], (std::vector<ConfigIndex>{d[4], d[3]}));
+  EXPECT_EQ(backend.batches[2], (std::vector<ConfigIndex>{d[5]}));
+
+  const std::vector<ConfigIndex> charged{d[0], d[1], d[2], d[4], d[3], d[5]};
+  ASSERT_EQ(eval.trace().size(), charged.size());
+  for (std::size_t i = 0; i < charged.size(); ++i) {
+    EXPECT_EQ(eval.trace()[i].index, charged[i]);
+  }
+}
+
+// A backend that throws mid-session must not strand its shared-cache
+// claims: the evaluator abandons every claim it owned, and the next
+// session evaluates those configurations itself.
+TEST(CachingEvaluator, ThrowingBackendAbandonsClaimsAnotherSessionTakesOver) {
+  const auto bench = kernels::make("pnpoly");
+  const auto d = distinct_indices(*bench, 64, 14);
+  ASSERT_GE(d.size(), 4u);
+  const std::vector<ConfigIndex> wanted(d.begin(), d.begin() + 4);
+  const auto configs = configs_at(*bench, wanted);
+  service::ShardedMeasurementCache shared(bench->space().compiled_shared());
+  EvaluationHooks hooks;
+  hooks.shared_cache = &shared;
+
+  RecordingBackend broken(*bench);
+  broken.fail = true;
+  CachingEvaluator failing(broken, 10, hooks);
+  EXPECT_THROW((void)failing.evaluate_batch(configs), std::runtime_error);
+  ASSERT_EQ(broken.batches.size(), 1u);
+  EXPECT_EQ(broken.batches[0], wanted);  // it owned every claim
+  EXPECT_EQ(failing.evaluations(), 0u);
+  // Claims still owned would leave the next session waiting forever.
+  ASSERT_EQ(shared.stats().abandoned, wanted.size());
+  EXPECT_EQ(shared.stats().evaluations, 0u);
+
+  RecordingBackend healthy(*bench);
+  CachingEvaluator recovering(healthy, 10, hooks);
+  (void)recovering.evaluate_batch(configs);
+  ASSERT_EQ(healthy.batches.size(), 1u);
+  EXPECT_EQ(healthy.batches[0], wanted);  // re-claimed, evaluated itself
+  EXPECT_EQ(shared.stats().evaluations, wanted.size());
+
+  LiveBackend live(*bench, 0);
+  CachingEvaluator standalone(live, 10);
+  (void)standalone.evaluate_batch(configs);
+  ASSERT_EQ(recovering.trace().size(), standalone.trace().size());
+  for (std::size_t i = 0; i < standalone.trace().size(); ++i) {
+    EXPECT_EQ(recovering.trace()[i].index, standalone.trace()[i].index);
+    EXPECT_EQ(recovering.trace()[i].objective,
+              standalone.trace()[i].objective);
+  }
 }
 
 TEST(CachingEvaluator, BatchedAndSerialProduceIdenticalTraces) {

@@ -17,7 +17,6 @@
 #include "io/dataset_repository.hpp"
 #include "io/dataset_view.hpp"
 #include "io/dataset_writer.hpp"
-#include "io/replay_view.hpp"
 #include "kernels/all_kernels.hpp"
 
 namespace bat {
@@ -274,7 +273,8 @@ TEST(DatasetView, CorruptPayloadFailsCrcVerification) {
 
 // The golden pair is checked into tests/data/: a canonical CSV and the
 // binary archive converted from it. Both must load, agree row-for-row,
-// and keep first-row-wins semantics across both replay backends.
+// and keep first-row-wins semantics whether replay reads a Dataset or
+// the archive's DatasetView.
 TEST(GoldenFixtures, CsvAndBinaryAgree) {
   const auto csv = io::load_dataset(data_path("golden_small.csv"));
   const auto bin = io::load_dataset(data_path("golden_small.bin"));
@@ -287,9 +287,8 @@ TEST(GoldenFixtures, FirstRowWinsAcrossFormatsAndBackends) {
   const auto space = golden_space();
   const auto csv = io::load_dataset(data_path("golden_small.csv"));
   core::ReplayBackend from_csv(space, csv);
-  io::MmapReplayBackend from_bin(space,
-                                 io::DatasetView::open(
-                                     data_path("golden_small.bin")));
+  const auto view = io::DatasetView::open(data_path("golden_small.bin"));
+  core::ReplayBackend from_bin(space, *view);
   for (core::ConfigIndex index = 0; index < 4; ++index) {
     const core::ConfigIndex batch[1] = {index};
     const auto a = from_csv.evaluate_batch(batch).front();

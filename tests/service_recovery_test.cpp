@@ -104,23 +104,27 @@ TEST(ServiceRecovery, CrashMidGridRecoversEveryIdWithIdenticalTraces) {
   const std::string dir = fresh_dir("recovery_crash_grid");
   SessionResult first_before_crash;
   {
-    // One worker: sessions run strictly in id order, so waiting for
-    // id 1 guarantees ids 2..6 are still queued when the "crash"
-    // (shutdown) hits — they get cancelled, and cancellations are
-    // never journaled, so the journal keeps them *pending*.
+    // Id 1 runs to completion through a journaled service ...
     ServiceOptions options;
-    options.workers = 1;
     options.journal_dir = dir;
     TuningService svc(options);
-    std::vector<std::uint64_t> ids;
-    for (const auto& spec : specs) {
-      ids.push_back(svc.submit_tracked(spec));
-    }
-    ASSERT_EQ(ids, (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6}));
+    ASSERT_EQ(svc.submit_tracked(specs[0]), 1u);
     first_before_crash = wait_tracked(svc, 1);
     ASSERT_EQ(first_before_crash.status, SessionStatus::kCompleted);
-  }  // destructor == shutdown: the closest in-process stand-in for a
-     // crash (tools/ci.sh does the real kill -9)
+  }
+  {
+    // ... then ids 2..6 are accepted (their submits journaled) and the
+    // process dies before any of them finishes: the journal state a
+    // crash after accepting them leaves, built without a timing window
+    // (tools/ci.sh does the real kill -9).
+    SessionLogOptions log_options;
+    log_options.dir = dir;
+    SessionLog log(log_options);
+    ASSERT_EQ(log.next_id(), 2u);
+    for (std::uint64_t id = 2; id <= 6; ++id) {
+      log.record_submit(id, specs[id - 1]);
+    }
+  }
 
   // Reboot on the same journal.
   ServiceOptions options;
@@ -129,11 +133,8 @@ TEST(ServiceRecovery, CrashMidGridRecoversEveryIdWithIdenticalTraces) {
 
   const auto durability = svc.durability_stats();
   EXPECT_TRUE(durability.enabled);
-  // At least id 1 completed before the crash; the shutdown window may
-  // let the in-flight id 2 squeak through too, so bound, don't pin.
-  EXPECT_GE(durability.restored_completed, 1u);
-  EXPECT_GE(durability.recovered_pending, 1u);
-  EXPECT_EQ(durability.restored_completed + durability.recovered_pending, 6u);
+  EXPECT_EQ(durability.restored_completed, 1u);
+  EXPECT_EQ(durability.recovered_pending, 5u);
 
   // Every id survived, and the completed one is already resolved.
   const auto sessions = svc.tracked_sessions();

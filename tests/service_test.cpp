@@ -245,11 +245,11 @@ TEST(TuningService, SessionTraceMatchesStandaloneRun) {
   }
 }
 
-// A binary archive in dataset_dir serves replay sessions zero-copy
-// (io::MmapReplayBackend over the mmap'ed columns) — and the traces it
-// yields are identical to replaying the same rows from an in-memory
-// registered dataset: where measurements live must never change what
-// a session observes.
+// A binary archive in dataset_dir serves replay sessions from its
+// mmap'ed columns (core::ReplayBackend over an io::DatasetView, no
+// materialized Dataset) — and the traces it yields are identical to
+// replaying the same rows from an in-memory registered dataset: where
+// measurements live must never change what a session observes.
 TEST(TuningService, ZeroCopyReplayFromDatasetDirMatchesInMemory) {
   namespace fs = std::filesystem;
   const auto dir = fs::path(::testing::TempDir()) / "svc_dataset_dir";

@@ -450,8 +450,8 @@ if echo "${SAN_TARGETS}" \
 
   echo "=== io perf data points (BENCH_io.json) ==="
   # The persistence trajectory, from the *release* build: CSV parse vs
-  # mmap open, owned-table vs zero-copy replay lookups. The json lands
-  # next to the build dir so successive CI runs are comparable.
+  # mmap open, and replay lookups. The json lands next to the build dir
+  # so successive CI runs are comparable.
   "${BUILD_DIR}/micro_framework" \
       --benchmark_filter='Dataset|ReplayLookup' \
       --benchmark_format=json --benchmark_min_time=0.1 > BENCH_io.json

@@ -332,8 +332,8 @@ int cmd_grid(const Args& args) {
   options.cache_shards = args.get_size("shards", 16);
   options.share_cache = !args.has("no-shared-cache");
   // Replay sessions resolve <kernel>_<device>.{bin,csv} archives from
-  // this directory (binary ones zero-copy via mmap) and persist swept
-  // datasets back into it.
+  // this directory (binary ones from the mmap'ed columns, without
+  // materializing a Dataset) and persist swept datasets back into it.
   options.dataset_dir = args.get("dataset-dir", "");
   service::TuningService svc(options);
 
