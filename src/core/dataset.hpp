@@ -7,8 +7,8 @@
 //
 // Ownership / thread-safety: Dataset is a self-contained value type;
 // copies are independent and an instance is immutable once built, so
-// concurrent reads need no synchronization (ReplayBackend and the
-// service's replay workloads read one dataset from many sessions).
+// concurrent reads need no synchronization (io::DatasetRepository
+// shares one instance with every consumer that resolves its key).
 // Builders (add_row) are single-threaded.
 #pragma once
 
