@@ -2,7 +2,7 @@
 //
 // Drives an in-process `tune serve` stack (real sockets, real HTTP
 // framing, the real ApiServer handler over a TuningService) through
-// three scenarios and writes one JSON report (tools/ci.sh publishes it
+// two scenarios and writes one JSON report (tools/ci.sh publishes it
 // as BENCH_net.json):
 //
 //   baseline          N keep-alive clients in a synchronous request
@@ -13,16 +13,11 @@
 //                     rounds. The event-driven core's reason to exist:
 //                     per-connection-thread servers die here; the gate
 //                     is throughput within 0.8x of baseline.
-//   overload          offered load far above a configured per-client
-//                     token-bucket rate; well-behaved shedding means
-//                     goodput (200s) stays flat near the bucket rate
-//                     while 429s absorb the excess.
 //
-//   net_throughput [--scenario all|baseline|high_concurrency|overload]
+//   net_throughput [--scenario all|baseline|high_concurrency]
 //                  [--clients 4] [--connections 1024] [--threads 4]
 //                  [--seconds 2] [--endpoint /v1/stats]
-//                  [--http-workers 4] [--overload-rps 2000]
-//                  [--overload-burst 200] [--out BENCH_net.json]
+//                  [--http-workers 4] [--out BENCH_net.json]
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -54,8 +49,6 @@ struct Options {
   double seconds = 2.0;
   std::string endpoint = "/v1/stats";
   std::size_t http_workers = 4;
-  double overload_rps = 2000.0;
-  double overload_burst = 200.0;
   std::string out = "BENCH_net.json";
 };
 
@@ -83,10 +76,6 @@ Options parse(int argc, char** argv) {
       options.endpoint = value();
     } else if (arg == "--http-workers") {
       options.http_workers = std::stoul(value());
-    } else if (arg == "--overload-rps") {
-      options.overload_rps = std::stod(value());
-    } else if (arg == "--overload-burst") {
-      options.overload_burst = std::stod(value());
     } else if (arg == "--out") {
       options.out = value();
     } else {
@@ -100,8 +89,7 @@ Options parse(int argc, char** argv) {
   }
   if (options.http_workers == 0) options.http_workers = 4;
   if (options.scenario != "all" && options.scenario != "baseline" &&
-      options.scenario != "high_concurrency" &&
-      options.scenario != "overload") {
+      options.scenario != "high_concurrency") {
     throw std::invalid_argument("unknown --scenario " + options.scenario);
   }
   return options;
@@ -123,19 +111,12 @@ void raise_fd_limit(std::size_t needed) {
 
 struct ScenarioResult {
   std::uint64_t requests = 0;   // responses received, any status
-  std::uint64_t failures = 0;   // transport errors + unexpected statuses
-  std::uint64_t admitted = 0;   // 200s
-  std::uint64_t rejected = 0;   // 429s (overload only)
-  std::uint64_t first_half_ok = 0;
-  std::uint64_t second_half_ok = 0;
+  std::uint64_t failures = 0;   // transport errors + non-200 statuses
   double wall = 0.0;
   std::vector<double> latencies_ms;
 
   [[nodiscard]] double rps() const {
     return wall > 0.0 ? static_cast<double>(requests) / wall : 0.0;
-  }
-  [[nodiscard]] double goodput() const {
-    return wall > 0.0 ? static_cast<double>(admitted) / wall : 0.0;
   }
 };
 
@@ -143,10 +124,6 @@ struct ScenarioResult {
 void merge(ScenarioResult& into, ScenarioResult&& part) {
   into.requests += part.requests;
   into.failures += part.failures;
-  into.admitted += part.admitted;
-  into.rejected += part.rejected;
-  into.first_half_ok += part.first_half_ok;
-  into.second_half_ok += part.second_half_ok;
   into.latencies_ms.insert(into.latencies_ms.end(),
                            part.latencies_ms.begin(),
                            part.latencies_ms.end());
@@ -156,25 +133,18 @@ double ms_between(clock_type::time_point begin, clock_type::time_point end) {
   return std::chrono::duration<double, std::milli>(end - begin).count();
 }
 
-/// baseline + overload: synchronous request loop per thread. `expect_429`
-/// tolerates rate-limit rejections (overload counts them as shed load,
-/// not failures).
+/// baseline: a synchronous request loop per client thread.
 ScenarioResult sync_loop_scenario(const api::ApiServer& api,
-                                  const Options& options,
-                                  std::size_t thread_count,
-                                  bool expect_429) {
+                                  const Options& options) {
   const auto start = clock_type::now();
   const auto deadline =
       start + std::chrono::duration_cast<clock_type::duration>(
                   std::chrono::duration<double>(options.seconds));
-  const auto midpoint =
-      start + std::chrono::duration_cast<clock_type::duration>(
-                  std::chrono::duration<double>(options.seconds / 2.0));
 
-  std::vector<ScenarioResult> parts(thread_count);
+  std::vector<ScenarioResult> parts(options.clients);
   std::vector<std::thread> threads;
-  threads.reserve(thread_count);
-  for (std::size_t t = 0; t < thread_count; ++t) {
+  threads.reserve(options.clients);
+  for (std::size_t t = 0; t < options.clients; ++t) {
     threads.emplace_back([&, t] {
       ScenarioResult& part = parts[t];
       try {
@@ -186,12 +156,7 @@ ScenarioResult sync_loop_scenario(const api::ApiServer& api,
           const auto got = clock_type::now();
           ++part.requests;
           part.latencies_ms.push_back(ms_between(sent, got));
-          if (response.status == 200) {
-            ++part.admitted;
-            ++(got < midpoint ? part.first_half_ok : part.second_half_ok);
-          } else if (response.status == 429 && expect_429) {
-            ++part.rejected;
-          } else {
+          if (response.status != 200) {
             ++part.failures;
             break;
           }
@@ -254,11 +219,7 @@ ScenarioResult high_concurrency_scenario(const api::ApiServer& api,
             const auto got = clock_type::now();
             ++part.requests;
             part.latencies_ms.push_back(ms_between(sent[c], got));
-            if (response.status == 200) {
-              ++part.admitted;
-            } else {
-              ++part.failures;
-            }
+            if (response.status != 200) ++part.failures;
           }
         }
       } catch (const std::exception& e) {
@@ -339,8 +300,7 @@ int main(int argc, char** argv) {
     api_options.http.workers = options.http_workers;
     api::ApiServer api(svc, api_options);
     api.start();
-    baseline = sync_loop_scenario(api, options, options.clients,
-                                  /*expect_429=*/false);
+    baseline = sync_loop_scenario(api, options);
     api.stop();
     baseline_rps = baseline.rps();
     total_failures += baseline.failures;
@@ -374,44 +334,6 @@ int main(int argc, char** argv) {
                    baseline_rps > 0.0 ? common::Json(baseline_rps)
                                       : common::Json(nullptr));
     scenarios.emplace("high_concurrency", common::Json(std::move(object)));
-  }
-
-  if (all || options.scenario == "overload") {
-    service::TuningService svc;
-    api::ApiOptions api_options;
-    api_options.http.port = 0;
-    api_options.http.workers = options.http_workers;
-    // Small burst relative to the sustained rate keeps the two halves
-    // of the run comparable (a large burst front-loads the goodput).
-    api_options.http.rate_limit.per_client_rps = options.overload_rps;
-    api_options.http.rate_limit.per_client_burst = options.overload_burst;
-    api::ApiServer api(svc, api_options);
-    api.start();
-    const ScenarioResult result = sync_loop_scenario(
-        api, options, options.threads, /*expect_429=*/true);
-    const std::uint64_t rate_limited = api.http().requests_rate_limited();
-    api.stop();
-    total_failures += result.failures;
-    print_scenario("overload", result);
-    const double half = result.wall / 2.0;
-    std::printf("    offered %.0f req/s, goodput %.0f req/s "
-                "(halves %.0f / %.0f), %llu x 429\n",
-                result.rps(), result.goodput(),
-                static_cast<double>(result.first_half_ok) / half,
-                static_cast<double>(result.second_half_ok) / half,
-                static_cast<unsigned long long>(result.rejected));
-    auto object = scenario_json(result);
-    object.emplace("configured_client_rps", options.overload_rps);
-    object.emplace("configured_client_burst", options.overload_burst);
-    object.emplace("admitted", result.admitted);
-    object.emplace("rejected_429", result.rejected);
-    object.emplace("server_rate_limited", rate_limited);
-    object.emplace("goodput_rps", result.goodput());
-    object.emplace("goodput_first_half_rps",
-                   static_cast<double>(result.first_half_ok) / half);
-    object.emplace("goodput_second_half_rps",
-                   static_cast<double>(result.second_half_ok) / half);
-    scenarios.emplace("overload", common::Json(std::move(object)));
   }
 
   common::JsonObject report;

@@ -51,35 +51,10 @@ std::optional<std::uint64_t> parse_job_id(std::string_view text) {
   return id;
 }
 
-/// Default token cost per request for the rate-limit buckets: session
-/// submissions burn real tuning compute (up to 10^5 simulated launches
-/// each), status polls are a map lookup. Charging them equally would
-/// let a status-poll budget fund session spam; 4x is deliberately
-/// coarse — the point is an ordering, not a calibration. Installed
-/// only when the embedder did not set its own policy.
-net::ServerOptions with_api_policy(
+/// One process registry: the transport's bat_http_* series land next
+/// to everything else /v1/metrics renders.
+net::ServerOptions with_registry(
     net::ServerOptions http, std::shared_ptr<obs::MetricsRegistry> metrics) {
-  if (!http.request_cost) {
-    http.request_cost = [](const net::HttpRequest& request) {
-      if (request.method == "POST" &&
-          request.target.compare(0, 12, "/v1/sessions") == 0) {
-        return 4.0;
-      }
-      return 1.0;
-    };
-  }
-  if (!http.police_exempt) {
-    // Liveness probes must answer while a scraper (or an attacker) has
-    // the client's token bucket drained — exempt from the limiter, but
-    // deliberately NOT from admission control: a server with every
-    // worker wedged *should* fail its health check.
-    http.police_exempt = [](const net::HttpRequest& request) {
-      return request.method == "GET" &&
-             request.target.compare(0, 11, "/v1/healthz") == 0;
-    };
-  }
-  // One process registry: the transport's bat_http_* series land next
-  // to everything else /v1/metrics renders.
   if (!http.metrics) http.metrics = std::move(metrics);
   return http;
 }
@@ -90,7 +65,7 @@ ApiServer::ApiServer(service::TuningService& service, ApiOptions options)
     : service_(service),
       metrics_(options.metrics ? std::move(options.metrics)
                                : std::make_shared<obs::MetricsRegistry>()),
-      http_(with_api_policy(std::move(options.http), metrics_),
+      http_(with_registry(std::move(options.http), metrics_),
             [this](const net::HttpRequest& request) {
               return handle(request);
             }) {
@@ -329,11 +304,10 @@ net::HttpResponse ApiServer::get_stats() const {
   http_json.emplace("connections_accepted", http_.connections_accepted());
   http_json.emplace("requests_served", http_.requests_served());
   http_json.emplace("connections_open", http_.connections_open());
-  // Policing counters: how much load the admission layer turned away
-  // (429 rate limits, 503 admission sheds, 503-and-close at the
-  // connection cap). Flat goodput under a rising one of these is the
-  // overload behavior working as designed.
-  http_json.emplace("requests_rate_limited", http_.requests_rate_limited());
+  // Overload counters: how much load the server turned away (503
+  // admission sheds, 503-and-close at the connection cap). Flat goodput
+  // under a rising one of these is the overload behavior working as
+  // designed.
   http_json.emplace("requests_shed", http_.requests_shed());
   http_json.emplace("connections_over_capacity",
                     http_.connections_over_capacity());

@@ -17,9 +17,9 @@
 //                            connection's worker, full result back
 //                            (untracked: no id, never journaled).
 //   GET  /v1/stats           cache counters + session/HTTP counters,
-//                            including traffic-policing sheds (429s,
-//                            admission 503s, connection-cap refusals)
-//                            and the journal's "durability" section.
+//                            including overload sheds (admission
+//                            503s, connection-cap refusals) and the
+//                            journal's "durability" section.
 //                            Every number is a registry series read at
 //                            request time — /v1/metrics is the same
 //                            data in Prometheus clothes.
@@ -27,9 +27,9 @@
 //   GET  /v1/metrics         Prometheus text exposition (0.0.4) of the
 //                            process registry (docs/observability.md).
 //   GET  /v1/healthz         liveness: build id, uptime, ready |
-//                            draining. Exempt from rate limiting (but
-//                            not admission) so probes survive an
-//                            aggressive scraper next door.
+//                            draining. Subject to admission like any
+//                            request: a server with every worker
+//                            wedged should fail its health check.
 //   GET  /v1/sessions/<id>/trace
 //                            span timeline of a tracked session.
 //
@@ -42,9 +42,9 @@
 // a journal it survives restarts — results must outlive their session
 // (and, journaled, the process) so a client can poll after completion.
 // Bound: the journal's checkpoint retention evicts the oldest
-// completed sessions, and the transport polices admission (per-client
-// token buckets charge POST /v1/sessions* at 4x a status poll — see
-// with_api_policy in api_server.cpp), which caps the growth rate.
+// completed sessions, and the service's bounded backlog (submit blocks
+// at queue_capacity, the transport sheds 503 once its admission queue
+// fills behind it) caps the growth rate at the sessions' finish rate.
 //
 // Thread-safety: handle() runs concurrently on HTTP workers;
 // TuningService is thread-safe, and handle() is public precisely so

@@ -17,7 +17,8 @@ namespace bat::kernels::models {
 inline constexpr int kHotspotGrid = 4096;  // simulation grid (side length)
 inline constexpr int kHotspotSteps = 60;   // time steps per measurement
 
-// Calibrated model constants (see DESIGN.md "calibration notes").
+// Calibrated model constants; the calibration anchors are the
+// expectations in tests/analysis_shape_test.cpp.
 inline constexpr double kL2HaloCompress = 0.35;  // halo re-reads absorbed by L2
 inline constexpr double kOpsCell = 20.0;         // arithmetic ops per cell
 inline constexpr double kSmemBufs = 1.0;  // single smem buffer + reg ping-pong

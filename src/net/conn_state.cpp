@@ -8,8 +8,7 @@
 
 namespace bat::net {
 
-ConnState::ConnState(int fd, std::uint32_t peer_ipv4, std::uint64_t id)
-    : fd_(fd), peer_ipv4_(peer_ipv4), id_(id) {}
+ConnState::ConnState(int fd, std::uint64_t id) : fd_(fd), id_(id) {}
 
 ConnState::~ConnState() {
   if (fd_ >= 0) ::close(fd_);

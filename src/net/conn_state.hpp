@@ -13,7 +13,7 @@
 //                   the kernel pushes back (kPending -> the caller
 //                   registers write interest) or everything drained.
 //
-// Policy lives in the server (dispatch, rate limits, keep-alive,
+// Policy lives in the server (dispatch, admission, keep-alive,
 // interest juggling); this type is the mechanics, single-threaded by
 // construction — a connection is owned by exactly one EventLoop thread.
 //
@@ -43,9 +43,8 @@ class ConnState {
     kDrained,   // flush(): output queue fully written
   };
 
-  /// Takes ownership of `fd` (closed in the destructor); `peer_ipv4`
-  /// is the client address in host byte order (rate-limit key).
-  ConnState(int fd, std::uint32_t peer_ipv4, std::uint64_t id);
+  /// Takes ownership of `fd` (closed in the destructor).
+  ConnState(int fd, std::uint64_t id);
   ~ConnState();
 
   ConnState(const ConnState&) = delete;
@@ -53,9 +52,6 @@ class ConnState {
 
   [[nodiscard]] int fd() const noexcept { return fd_; }
   [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
-  [[nodiscard]] std::uint32_t peer_ipv4() const noexcept {
-    return peer_ipv4_;
-  }
 
   /// recv(2) until EAGAIN or `max_bytes` landed in the inbound buffer.
   /// kOk when any bytes arrived, kBlocked when none were ready.
@@ -106,7 +102,6 @@ class ConnState {
 
  private:
   int fd_;
-  std::uint32_t peer_ipv4_;
   std::uint64_t id_;
   std::string in_;
   std::deque<std::string> out_;

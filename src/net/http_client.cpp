@@ -1,12 +1,9 @@
 #include "net/http_client.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -21,12 +18,6 @@ namespace {
 [[noreturn]] void sys_fail(const std::string& what) {
   throw std::runtime_error("http client: " + what + ": " +
                            std::strerror(errno));
-}
-
-/// True when errno after a failed send/recv means the SO_RCVTIMEO /
-/// SO_SNDTIMEO budget expired rather than a peer close or error.
-bool is_io_timeout(int err) {
-  return err == EAGAIN || err == EWOULDBLOCK;
 }
 
 }  // namespace
@@ -54,14 +45,18 @@ HostPort parse_host_port(std::string_view text) {
     throw std::invalid_argument("address '" + std::string(text) +
                                 "' needs a nonzero port");
   }
-  return HostPort{std::string(text.substr(0, colon)),
-                  static_cast<std::uint16_t>(port)};
+  std::string host(text.substr(0, colon));
+  in_addr parsed{};
+  if (::inet_pton(AF_INET, host.c_str(), &parsed) != 1) {
+    throw std::invalid_argument("address '" + std::string(text) +
+                                "' needs an IPv4 literal host");
+  }
+  return HostPort{std::move(host), static_cast<std::uint16_t>(port)};
 }
 
 HttpClient::HttpClient(std::string host, std::uint16_t port,
-                       ParseLimits limits, ClientOptions options)
-    : host_(std::move(host)), port_(port), limits_(limits),
-      options_(options) {}
+                       ParseLimits limits)
+    : host_(std::move(host)), port_(port), limits_(limits) {}
 
 HttpClient::~HttpClient() { disconnect(); }
 
@@ -85,64 +80,11 @@ void HttpClient::connect() {
     throw std::runtime_error("http client: invalid IPv4 host '" + host_ +
                              "'");
   }
-  const std::string endpoint = host_ + ":" + std::to_string(port_);
-  if (options_.connect_timeout_ms > 0) {
-    // Nonblocking connect + poll: a peer that dropped off the network
-    // (no RST, packets into the void) fails here after the timeout
-    // instead of holding the caller for the kernel's SYN retry budget
-    // (minutes).
-    const int flags = ::fcntl(fd_, F_GETFL, 0);
-    (void)::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
-    const int rc =
-        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
-    if (rc < 0 && errno != EINPROGRESS) {
-      const int saved = errno;
-      disconnect();
-      errno = saved;
-      sys_fail("connect " + endpoint);
-    }
-    if (rc < 0) {
-      pollfd pfd{fd_, POLLOUT, 0};
-      int ready = 0;
-      do {
-        ready = ::poll(&pfd, 1, options_.connect_timeout_ms);
-      } while (ready < 0 && errno == EINTR);
-      if (ready == 0) {
-        disconnect();
-        throw std::runtime_error("http client: connect " + endpoint +
-                                 " timed out after " +
-                                 std::to_string(options_.connect_timeout_ms) +
-                                 "ms");
-      }
-      if (ready < 0) {
-        const int saved = errno;
-        disconnect();
-        errno = saved;
-        sys_fail("poll(connect " + endpoint + ")");
-      }
-      int soerr = 0;
-      socklen_t len = sizeof soerr;
-      if (::getsockopt(fd_, SOL_SOCKET, SO_ERROR, &soerr, &len) < 0 ||
-          soerr != 0) {
-        disconnect();
-        errno = soerr != 0 ? soerr : errno;
-        sys_fail("connect " + endpoint);
-      }
-    }
-    (void)::fcntl(fd_, F_SETFL, flags);  // back to blocking I/O
-  } else if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                       sizeof addr) < 0) {
+  if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
     const int saved = errno;
     disconnect();
     errno = saved;
-    sys_fail("connect " + endpoint);
-  }
-  if (options_.io_timeout_ms > 0) {
-    timeval tv{};
-    tv.tv_sec = options_.io_timeout_ms / 1000;
-    tv.tv_usec = (options_.io_timeout_ms % 1000) * 1000;
-    (void)::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-    (void)::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
+    sys_fail("connect " + host_ + ":" + std::to_string(port_));
   }
   const int one = 1;
   (void)::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
@@ -185,9 +127,6 @@ void HttpClient::send_request(const std::string& method,
                              MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && is_io_timeout(errno)) {
-        throw std::runtime_error("http client: send timed out (pipelined)");
-      }
       sys_fail("send (pipelined)");
     }
     sent += static_cast<std::size_t>(n);
@@ -214,10 +153,6 @@ HttpResponse HttpClient::read_response() {
     }
     const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
     if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && is_io_timeout(errno)) {
-      disconnect();  // half-read response: the stream is unusable
-      throw std::runtime_error("http client: recv timed out (pipelined)");
-    }
     if (n <= 0) {
       throw std::runtime_error(
           "http client: connection closed mid-pipeline");
@@ -260,9 +195,6 @@ bool HttpClient::round_trip(const std::string& wire, HttpResponse& out) {
                              MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && is_io_timeout(errno)) {
-        throw std::runtime_error("http client: send timed out");
-      }
       if (sent == 0 && buffer_.empty()) return false;  // dead keep-alive
       sys_fail("send");
     }
@@ -282,14 +214,6 @@ bool HttpClient::round_trip(const std::string& wire, HttpResponse& out) {
     }
     const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
     if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && is_io_timeout(errno)) {
-      // Never retried: the server may have received (and acted on) the
-      // request; only the zero-byte-close path below is replay-safe.
-      disconnect();  // half-read response: the stream is unusable
-      throw std::runtime_error("http client: response timed out after " +
-                               std::to_string(options_.io_timeout_ms) +
-                               "ms");
-    }
     if (n <= 0) {
       if (buffer_.size() == had_bytes && had_bytes == 0) {
         return false;  // closed with zero response bytes: retryable

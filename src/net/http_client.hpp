@@ -11,17 +11,9 @@
 //
 // Scope: the test suite, the `tune remote` CLI and the loopback
 // throughput bench. IPv4 literal hosts + DNS-free by design; throws
-// std::runtime_error on connect/send/recv failure, timeouts and
-// malformed responses (a client, unlike a server, has a caller to
-// throw to).
-//
-// Timeouts: ClientOptions bounds how long a hung peer can block the
-// caller. connect_timeout_ms uses a nonblocking connect + poll;
-// io_timeout_ms maps to SO_RCVTIMEO/SO_SNDTIMEO, so a peer that
-// accepted but never answers fails the request instead of parking the
-// thread forever. 0 = no bound (the pre-timeout behavior, kept as the
-// default for interactive CLI use); `tune remote --any-node` probes
-// pass finite values.
+// std::runtime_error on connect/send/recv failure and malformed
+// responses (a client, unlike a server, has a caller to throw to).
+// Calls block without a timeout, as an interactive CLI wants.
 //
 // Thread-safety: none — one HttpClient per thread (it is one socket).
 #pragma once
@@ -45,18 +37,9 @@ struct HostPort {
 };
 
 /// Parses "host:port"; throws std::invalid_argument on malformed input
-/// (missing host or colon, non-numeric, zero or out-of-range port).
+/// (a host that is not an IPv4 literal, missing colon, non-numeric,
+/// zero or out-of-range port).
 [[nodiscard]] HostPort parse_host_port(std::string_view text);
-
-struct ClientOptions {
-  /// Milliseconds to wait for connect() to complete; 0 = no bound.
-  int connect_timeout_ms = 0;
-  /// Milliseconds any single send()/recv() may block; 0 = no bound.
-  /// This bounds per-syscall stalls, not whole-response time: a peer
-  /// trickling bytes resets the clock — good enough against hangs,
-  /// which is the failure mode peers actually exhibit.
-  int io_timeout_ms = 0;
-};
 
 class HttpClient {
  public:
@@ -65,8 +48,7 @@ class HttpClient {
                  .max_head_bytes = 16 * 1024,
                  .max_body_bytes = 64 * 1024 * 1024,
                  .max_headers = 100,
-             },
-             ClientOptions options = {});
+             });
   ~HttpClient();
 
   HttpClient(const HttpClient&) = delete;
@@ -111,7 +93,6 @@ class HttpClient {
   std::string host_;
   std::uint16_t port_;
   ParseLimits limits_;
-  ClientOptions options_;
   int fd_ = -1;
   std::string buffer_;  // bytes past the previous response (pipelining)
 };

@@ -51,8 +51,8 @@ HttpResponse error_response(int status, const std::string& message) {
 }
 
 std::string retry_after_value(double seconds) {
-  // Retry-After carries integral delay-seconds; sub-second bucket
-  // refills round up to 1 so the hint never invites an instant retry.
+  // Retry-After carries integral delay-seconds; a sub-second hint
+  // rounds up to 1 so it never invites an instant retry.
   double s = std::ceil(seconds);
   if (s < 1.0) s = 1.0;
   if (s > 86400.0) s = 86400.0;  // a day: effectively "go away"
@@ -73,17 +73,10 @@ HttpServer::HttpServer(ServerOptions options, Handler handler)
   if (options_.retry_after_seconds <= 0.0) options_.retry_after_seconds = 1.0;
   metrics_ = options_.metrics ? options_.metrics
                               : std::make_shared<obs::MetricsRegistry>();
-  if (options_.rate_limit.enabled()) {
-    limiter_ = std::make_unique<RateLimiter>(options_.rate_limit,
-                                             options_.clock, metrics_);
-  }
   accepted_total_ = metrics_->counter("bat_http_connections_accepted_total",
                                       "Connections accepted");
   served_total_ =
       metrics_->counter("bat_http_requests_total", "Requests served");
-  rate_limited_total_ =
-      metrics_->counter("bat_http_requests_rate_limited_total",
-                        "Requests answered 429 by the rate limiter");
   shed_total_ =
       metrics_->counter("bat_http_requests_shed_total",
                         "Requests answered 503 by the admission queue");
@@ -204,10 +197,7 @@ void HttpServer::on_accept() {
   // Drain the backlog: level-triggered readiness would re-fire anyway,
   // but accepting in batches costs one wakeup instead of N.
   while (true) {
-    sockaddr_in peer{};
-    socklen_t peer_len = sizeof peer;
-    const int fd = ::accept(
-        listen_fd_, reinterpret_cast<sockaddr*>(&peer), &peer_len);
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
@@ -232,9 +222,8 @@ void HttpServer::on_accept() {
       // Never adopted, so it cannot strand a keep-alive mid-pipeline.
       over_capacity_total_->add();
       const std::string bytes =
-          policed_response(503, "connection limit reached",
-                           options_.retry_after_seconds,
-                           /*keep_alive=*/false);
+          overloaded_response("connection limit reached",
+                              /*keep_alive=*/false);
       (void)::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
       (void)::shutdown(fd, SHUT_WR);
       ::close(fd);
@@ -242,16 +231,13 @@ void HttpServer::on_accept() {
     }
     accepted_total_->add();
     open_connections_.fetch_add(1);
-    const std::uint32_t peer_ip = ntohl(peer.sin_addr.s_addr);
     const std::size_t shard =
         next_shard_.fetch_add(1) % shards_.size();
     if (shard == 0) {
-      adopt_connection(0, fd, peer_ip);  // already on loop 0's thread
+      adopt_connection(0, fd);  // already on loop 0's thread
     } else {
       const bool posted = shards_[shard].loop->post(
-          [this, shard, fd, peer_ip] {
-            adopt_connection(shard, fd, peer_ip);
-          });
+          [this, shard, fd] { adopt_connection(shard, fd); });
       if (!posted) {  // that loop stopped mid-shutdown
         ::close(fd);
         open_connections_.fetch_sub(1);
@@ -276,11 +262,10 @@ void HttpServer::pause_accept_for_fd_pressure() {
   });
 }
 
-void HttpServer::adopt_connection(std::size_t shard, int fd,
-                                  std::uint32_t ipv4) {
+void HttpServer::adopt_connection(std::size_t shard, int fd) {
   auto& s = shards_[shard];
   const std::uint64_t id = next_conn_id_.fetch_add(1);
-  auto conn = std::make_unique<ConnState>(fd, ipv4, id);
+  auto conn = std::make_unique<ConnState>(fd, id);
   conn->set_interest_cache(EventLoop::kRead);
   s.conns.emplace(id, std::move(conn));
   s.loop->add_fd(fd, EventLoop::kRead,
@@ -349,30 +334,13 @@ void HttpServer::process_input(std::size_t shard, ConnState& conn) {
 
     const bool keep = request.keep_alive() && running_.load();
 
-    // Traffic policing. Sheds are answered inline — no handler
+    // Admission control. A shed is answered inline — no handler
     // dispatch, no pool occupancy — and the connection stays usable:
     // the request was well-formed, only ill-timed.
-    if (limiter_ &&
-        !(options_.police_exempt && options_.police_exempt(request))) {
-      const double cost =
-          options_.request_cost ? options_.request_cost(request) : 1.0;
-      const Admission admission = limiter_->admit(conn.peer_ipv4(), cost);
-      if (!admission.allowed) {
-        rate_limited_total_->add();
-        conn.queue_output(policed_response(
-            429,
-            std::string("rate limit exceeded (") + admission.denied_by +
-                " scope)",
-            admission.retry_after_seconds, keep));
-        if (!keep) conn.set_close_after_flush();
-        continue;
-      }
-    }
     if (in_flight_.load() >= options_.admission_capacity) {
       shed_total_->add();
-      conn.queue_output(policed_response(
-          503, "server overloaded, admission queue full",
-          options_.retry_after_seconds, keep));
+      conn.queue_output(overloaded_response(
+          "server overloaded, admission queue full", keep));
       if (!keep) conn.set_close_after_flush();
       continue;
     }
@@ -479,13 +447,11 @@ HttpResponse HttpServer::dispatch(const HttpRequest& request) {
   }
 }
 
-std::string HttpServer::policed_response(int status,
-                                         const std::string& message,
-                                         double retry_after_seconds,
-                                         bool keep_alive) {
-  HttpResponse response = error_response(status, message);
-  response.headers.emplace_back("retry-after",
-                                retry_after_value(retry_after_seconds));
+std::string HttpServer::overloaded_response(const std::string& message,
+                                            bool keep_alive) const {
+  HttpResponse response = error_response(503, message);
+  response.headers.emplace_back(
+      "retry-after", retry_after_value(options_.retry_after_seconds));
   return serialize_response(response, keep_alive);
 }
 

@@ -1,4 +1,4 @@
-// HttpServer: event-driven readiness core + traffic policing.
+// HttpServer: event-driven readiness core with overload safety.
 //
 // The service front-end the tuning API sits behind. Architecture
 // (replacing the PR-5 blocking accept thread + one-worker-per-
@@ -24,15 +24,13 @@
 //     connections. While a connection waits on its handler its read
 //     interest is dropped: a flooding client backs up into its own
 //     kernel socket buffer, not into server memory;
-//   * traffic policing sheds load instead of queueing unboundedly
-//     (net/rate_limit.hpp): per-client token buckets and per-IP-group
-//     quotas answer 429 + Retry-After, `admission_capacity` bounds
-//     dispatched-but-unfinished requests with 503 + Retry-After, and
-//     over `max_connections` the accept path answers 503 +
-//     Retry-After and closes cleanly (shutdown then close, never an
-//     abandoned half-open socket). 429/503 sheds are cheap (no
-//     handler dispatch) and keep the connection alive — the request
-//     was well-formed;
+//   * overload sheds load instead of queueing unboundedly:
+//     `admission_capacity` bounds dispatched-but-unfinished requests
+//     with 503 + Retry-After (cheap: no handler dispatch, and the
+//     connection stays alive — the request was well-formed), and over
+//     `max_connections` the accept path answers 503 + Retry-After and
+//     closes cleanly (shutdown then close, never an abandoned
+//     half-open socket);
 //   * strictness maps onto wire errors, never exceptions: malformed
 //     input -> 400 + close, oversize header block -> 431 + close,
 //     oversize body -> 413 + close, handler throw -> 500 (connection
@@ -61,7 +59,6 @@
 #include "net/conn_state.hpp"
 #include "net/event_loop.hpp"
 #include "net/http.hpp"
-#include "net/rate_limit.hpp"
 #include "obs/metrics.hpp"
 
 namespace bat::net {
@@ -84,18 +81,6 @@ struct ServerOptions {
   std::size_t admission_capacity = 0;
   /// Retry-After hint (seconds) on 503 sheds and connection-cap 503s.
   double retry_after_seconds = 1.0;
-  /// Token-bucket policing; disabled unless a rate is set.
-  RateLimitOptions rate_limit;
-  /// Time source for the rate limiter (tests inject a fake clock).
-  RateLimiter::Clock clock;
-  /// Tokens a request costs against the rate buckets (default 1.0);
-  /// lets the API charge heavy endpoints more than status probes.
-  std::function<double(const HttpRequest&)> request_cost;
-  /// Requests exempt from token-bucket policing (the bounded admission
-  /// queue still applies — liveness probes must never be starved by a
-  /// throttled client, but they also must not bypass overload
-  /// protection). api::with_api_policy installs one for /v1/healthz.
-  std::function<bool(const HttpRequest&)> police_exempt;
   /// Use the poll(2) backend even where epoll is available.
   bool force_poll = false;
   ParseLimits limits;
@@ -137,10 +122,6 @@ class HttpServer {
   [[nodiscard]] std::uint64_t requests_served() const noexcept {
     return served_total_->value();
   }
-  /// Requests answered 429 by the token-bucket/quota layer.
-  [[nodiscard]] std::uint64_t requests_rate_limited() const noexcept {
-    return rate_limited_total_->value();
-  }
   /// Requests answered 503 by the bounded admission queue.
   [[nodiscard]] std::uint64_t requests_shed() const noexcept {
     return shed_total_->value();
@@ -162,7 +143,7 @@ class HttpServer {
 
   void on_accept();
   void pause_accept_for_fd_pressure();
-  void adopt_connection(std::size_t shard, int fd, std::uint32_t ipv4);
+  void adopt_connection(std::size_t shard, int fd);
   void on_conn_event(std::size_t shard, std::uint64_t id,
                      std::uint32_t events);
   /// Frames+dispatches buffered requests until busy/incomplete/error.
@@ -175,10 +156,9 @@ class HttpServer {
   bool flush_and_update(std::size_t shard, ConnState& conn);
   void destroy(std::size_t shard, std::uint64_t id);
   [[nodiscard]] HttpResponse dispatch(const HttpRequest& request);
-  /// 429/503 + Retry-After, serialized. Seconds are ceiled to >= 1.
-  [[nodiscard]] static std::string policed_response(
-      int status, const std::string& message, double retry_after_seconds,
-      bool keep_alive);
+  /// 503 + Retry-After, serialized.
+  [[nodiscard]] std::string overloaded_response(const std::string& message,
+                                                bool keep_alive) const;
 
   ServerOptions options_;
   Handler handler_;
@@ -191,7 +171,6 @@ class HttpServer {
 
   std::vector<LoopShard> shards_;
   std::unique_ptr<common::ThreadPool> pool_;
-  std::unique_ptr<RateLimiter> limiter_;
 
   std::atomic<std::size_t> next_shard_{0};
   std::atomic<std::uint64_t> next_conn_id_{1};
@@ -204,7 +183,6 @@ class HttpServer {
   std::shared_ptr<obs::MetricsRegistry> metrics_;
   obs::Counter* accepted_total_;
   obs::Counter* served_total_;
-  obs::Counter* rate_limited_total_;
   obs::Counter* shed_total_;
   obs::Counter* over_capacity_total_;
   obs::Histogram* request_duration_;

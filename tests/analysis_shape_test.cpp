@@ -1,6 +1,7 @@
 // Paper-shape regression tests: the qualitative findings of the paper's
-// evaluation (Figs 1-6, §VI) must hold on the simulated suite. These are
-// the calibration anchors listed in DESIGN.md §4.
+// evaluation (Figs 1-6, §VI) must hold on the simulated suite. These
+// expectations are the calibration anchors the model constants in
+// src/kernels/models/ are tuned against.
 #include <gtest/gtest.h>
 
 #include "analysis/convergence.hpp"

@@ -343,8 +343,7 @@ TEST(ApiServer, StatsKeysSurviveTheRegistryMigration) {
   }
   for (const auto* key :
        {"connections_accepted", "requests_served", "connections_open",
-        "requests_rate_limited", "requests_shed",
-        "connections_over_capacity"}) {
+        "requests_shed", "connections_over_capacity"}) {
     EXPECT_NE(stats.at("http").find(key), nullptr)
         << "missing http key " << key;
   }

@@ -361,7 +361,7 @@ TEST(HttpServer, StopUnblocksParkedKeepAliveConnections) {
   stopper.join();
 }
 
-// ----------------------------------------- event-driven core + policing --
+// --------------------------------- event-driven core + overload safety --
 
 /// Raw keep-alive socket for pipelining / slow-loris / clean-close
 /// assertions the cooked HttpClient cannot express.
@@ -492,6 +492,39 @@ TEST(HttpClient, ParsesHostPortStrictly) {
   EXPECT_THROW((void)parse_host_port("host:70000"), std::invalid_argument);
   EXPECT_THROW((void)parse_host_port("host:12ab"), std::invalid_argument);
   EXPECT_THROW((void)parse_host_port(":8080"), std::invalid_argument);
+  // The host must be an IPv4 literal: a comma list splits at its last
+  // colon into a host the client could never connect to.
+  EXPECT_THROW((void)parse_host_port("127.0.0.1:1,127.0.0.1:2"),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse_host_port("localhost:8080"),
+               std::invalid_argument);
+}
+
+TEST(HttpClient, ConnectRefusedThrowsNamingTheEndpoint) {
+  // A bound but never listening socket holds the port, so nothing else
+  // can take it and a connect to it is refused.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = 0;
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  socklen_t len = sizeof addr;
+  ASSERT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  const std::uint16_t port = ntohs(addr.sin_port);
+  const std::string endpoint = "127.0.0.1:" + std::to_string(port);
+
+  HttpClient client("127.0.0.1", port);
+  try {
+    (void)client.get("/v1/stats");
+    ADD_FAILURE() << "get() to a refusing endpoint returned";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(endpoint), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(client.connected());
+  ::close(fd);
 }
 
 TEST(HttpServer, SlowLorisByteAtATimeRequestStillFrames) {
@@ -602,33 +635,6 @@ TEST(HttpServer, ConnectionCap503HasRetryAfterAndClosesCleanly) {
 
   // The occupant's keep-alive connection survived the episode.
   EXPECT_EQ(first.get("/still-here").status, 200);
-  server.stop();
-}
-
-TEST(HttpServer, RateLimited429KeepsConnectionAliveWithRetryAfter) {
-  ServerOptions options = loopback_options();
-  options.rate_limit.per_client_rps = 1.0;
-  options.rate_limit.per_client_burst = 2.0;
-  auto now_ns = std::make_shared<std::uint64_t>(0);
-  options.clock = [now_ns] { return *now_ns; };
-  HttpServer server(options, echo_handler);
-  server.start();
-  HttpClient client("127.0.0.1", server.port());
-
-  EXPECT_EQ(client.get("/1").status, 200);
-  EXPECT_EQ(client.get("/2").status, 200);
-  const auto limited = client.get("/3");
-  EXPECT_EQ(limited.status, 429);
-  ASSERT_NE(limited.header("retry-after"), nullptr);
-  EXPECT_EQ(*limited.header("retry-after"), "1");  // exact refill time
-
-  // 429 is not an error close: the same connection works once the
-  // bucket refills (fake clock advances, no sleeping).
-  *now_ns += 1'100'000'000ull;
-  EXPECT_EQ(client.get("/4").status, 200);
-  EXPECT_EQ(server.connections_accepted(), 1u);
-  EXPECT_EQ(server.requests_rate_limited(), 1u);
-  EXPECT_EQ(server.requests_served(), 3u);  // 429s are not "served"
   server.stop();
 }
 

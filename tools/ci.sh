@@ -20,10 +20,11 @@ BUILD_DIR="${1:-build-ci}"
 JOBS="$(nproc)"
 
 echo "=== docs link check ==="
-# Every relative markdown link in README.md and docs/*.md must resolve
-# (external http(s) links and pure #anchors are out of scope).
+# Every relative markdown link in README.md, EXPERIMENTS.md and
+# docs/*.md must resolve (external http(s) links and pure #anchors are
+# out of scope).
 broken=0
-for doc in README.md docs/*.md; do
+for doc in README.md EXPERIMENTS.md docs/*.md; do
   dir="$(dirname "${doc}")"
   # inline links: [text](target), excluding images' optional titles
   while IFS= read -r target; do
@@ -40,8 +41,17 @@ for doc in README.md docs/*.md; do
              | grep -oE '\]\([^)]+\)' \
              | sed -E 's/^\]\(//; s/\)$//; s/ .*//')
 done
+# Every markdown file the code cites, in comments and printed strings
+# under src/, bench/, tests/ and tools/, must exist. Cited paths are
+# relative to the repository root.
+while IFS=: read -r file line cited; do
+  if [ ! -e "${cited}" ]; then
+    echo "MISSING DOC cited at ${file}:${line}: ${cited}"
+    broken=1
+  fi
+done < <(grep -rnoE '[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b' src bench tests tools)
 [ "${broken}" -eq 0 ] || { echo "docs link check failed"; exit 1; }
-echo "all relative links resolve"
+echo "all relative links and cited docs resolve"
 
 echo "=== configure + build (${BUILD_DIR}) ==="
 cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release
@@ -68,8 +78,8 @@ SAN_DIR="${BUILD_DIR}-asan"
 SAN_TESTS=(core_backend_test core_dataset_evaluator_test
            common_thread_pool_test core_compiled_space_test
            io_dataset_test common_json_test net_http_test
-           net_rate_limit_test io_journal_test service_recovery_test
-           obs_metrics_test api_http_test ml_test analysis_test)
+           io_journal_test service_recovery_test obs_metrics_test
+           api_http_test ml_test analysis_test)
 cmake -B "${SAN_DIR}" -S . -DCMAKE_BUILD_TYPE=Debug -DBAT_SANITIZE=ON
 cmake --build "${SAN_DIR}" -j "${JOBS}" --target "${SAN_TESTS[@]}"
 for t in "${SAN_TESTS[@]}"; do
@@ -83,8 +93,7 @@ echo "=== TSan build of service + thread-pool + backend tests ==="
 # ThreadSanitizer in addition to the ASan/UBSan pass above.
 TSAN_DIR="${BUILD_DIR}-tsan"
 # net_http_test/api_http_test add the event-loop threads + handler pool
-# + job registry interleavings on top of the service-layer sharing;
-# net_rate_limit_test hammers the limiter's single mutex.
+# + job registry interleavings on top of the service-layer sharing.
 # io_journal_test races 8 appenders through the journal's group
 # commit; service_recovery_test adds journaled submit/result traffic
 # to the worker-pool interleavings.
@@ -92,8 +101,8 @@ TSAN_DIR="${BUILD_DIR}-tsan"
 # ring from 8 threads — the proof that "lock-cheap" means relaxed
 # atomics, not silent data races.
 TSAN_TESTS=(service_test common_thread_pool_test core_backend_test
-            net_http_test net_rate_limit_test api_http_test
-            io_journal_test service_recovery_test obs_metrics_test)
+            net_http_test api_http_test io_journal_test
+            service_recovery_test obs_metrics_test)
 cmake -B "${TSAN_DIR}" -S . -DCMAKE_BUILD_TYPE=Debug -DBAT_SANITIZE_THREAD=ON
 cmake --build "${TSAN_DIR}" -j "${JOBS}" --target "${TSAN_TESTS[@]}"
 for t in "${TSAN_TESTS[@]}"; do
@@ -214,19 +223,6 @@ SERVER="127.0.0.1:${NET_PORT}"
     | grep -q '"cross_session_hits": [1-9]' \
     || { echo "expected cross-session hits across remote clients"; exit 1; }
 "${BUILD_DIR}/tune" remote spaces --server "${SERVER}" > /dev/null
-
-# --any-node failover: the first candidate is a dead port, the client
-# must skip it and use the live server. Session ids are per node, so
-# the id commands must refuse the flag instead of failing over.
-"${BUILD_DIR}/tune" remote stats --server "127.0.0.1:1,${SERVER}" \
-    --any-node > /dev/null \
-    || { echo "--any-node failed to skip the dead node"; exit 1; }
-if "${BUILD_DIR}/tune" remote get --server "${SERVER}" --any-node --id 1 \
-    > /dev/null 2> "${NET_TMP}/any_node_get.err"; then
-  echo "remote get accepted --any-node"; exit 1
-fi
-grep -q 'unknown flag --any-node' "${NET_TMP}/any_node_get.err" \
-    || { echo "remote get --any-node failed for the wrong reason"; exit 1; }
 
 # obs: the same live server must answer health, the operator summary
 # and a per-session span timeline, and its /v1/metrics exposition must
@@ -386,16 +382,13 @@ sys.exit(0 if ok else 1)
 EOF
 echo "durability stage ok (journal ${JOURNAL_DIR})"
 
-echo "=== net throughput (BENCH_net.json): baseline + 1k conns + overload ==="
-# All three scenarios from the release build. Floors are deliberately
-# far below what one core does (~100x headroom) so the gates catch
+echo "=== net throughput (BENCH_net.json): baseline + 1k conns ==="
+# Both scenarios from the release build. Floors are deliberately far
+# below what one core does (~100x headroom) so the gates catch
 # structural regressions, not machine noise:
 #   baseline          >= 1000 req/s, zero failures;
 #   high_concurrency  >= 1024 concurrent keep-alive connections served
-#                     within 0.8x of baseline throughput;
-#   overload          offered load far above the per-client bucket must
-#                     shed via 429 while admitted goodput stays flat
-#                     (second half >= 0.7x first half), not collapse.
+#                     within 0.8x of baseline throughput.
 "${BUILD_DIR}/net_throughput" --scenario all --clients 4 --seconds 2 \
     --connections 1024 --threads 4 --out BENCH_net.json
 python3 - <<'EOF'
@@ -418,14 +411,6 @@ print(f"high_concurrency: {high['connections']} conns -> "
       f"{high['failures']} failures")
 ok &= high["connections"] >= 1024 and high["failures"] == 0
 ok &= ratio >= 0.8
-
-over = scen["overload"]
-flat = (over["goodput_second_half_rps"] / over["goodput_first_half_rps"]
-        if over["goodput_first_half_rps"] else 0.0)
-print(f"overload: {over['rejected_429']} x 429, goodput "
-      f"{over['goodput_rps']:.0f} req/s (halves ratio {flat:.2f})")
-ok &= over["rejected_429"] > 0 and over["failures"] == 0
-ok &= flat >= 0.7
 sys.exit(0 if ok else 1)
 EOF
 

@@ -48,27 +48,24 @@
 //   tune serve  [--port 8080] [--host 127.0.0.1] [--http-workers 8]
 //               [--event-loops 2] [--max-connections N] [--max-body BYTES]
 //               [--admission-capacity N] [--retry-after SECS]
-//               [--client-rps R [--client-burst B]]
-//               [--group-rps R [--group-burst B] [--group-prefix-bits 24]]
-//               [--force-poll] [--workers N] [--shards 16]
-//               [--dataset-dir DIR]
+//               [--workers N] [--shards 16] [--dataset-dir DIR]
 //               [--journal-dir DIR [--journal-retain N]
 //                [--journal-checkpoint-bytes BYTES]]
 //               [--log-level debug|info|warn|error|off]
 //       Runs the HTTP/1.1 JSON API (docs/http-api.md) over one
 //       TuningService until SIGINT/SIGTERM. --port 0 picks an
 //       ephemeral port; the chosen one is printed on the "listening"
-//       line (and parsed by tools/ci.sh). --client-rps/--group-rps
-//       switch on token-bucket traffic policing (429 + Retry-After;
-//       docs/http-api.md#overload-semantics). --journal-dir makes the
-//       session registry durable (docs/durability.md): every POSTed
-//       session id and result is write-ahead journaled, and a restart
-//       on the same directory restores completed results and re-runs
-//       unfinished sessions under their original ids — kill -9 loses
-//       nothing that was acknowledged.
+//       line (and parsed by tools/ci.sh). Overload answers 503 +
+//       Retry-After (docs/http-api.md#overload-semantics).
+//       --journal-dir makes the session registry durable
+//       (docs/durability.md): every POSTed session id and result is
+//       write-ahead journaled, and a restart on the same directory
+//       restores completed results and re-runs unfinished sessions
+//       under their original ids — kill -9 loses nothing that was
+//       acknowledged.
 //
 //   tune remote <run|submit|get|stats|spaces|health|top|trace>
-//               --server host:port[,...]
+//               --server host:port
 //       Client for a running `tune serve`:
 //         run    same spec flags as `tune run`; synchronous via
 //                POST /v1/sessions:run, or --async to submit and poll
@@ -84,11 +81,7 @@
 //                /v1/healthz + /v1/stats.
 //         trace  --id N: span timeline of a tracked session
 //                (GET /v1/sessions/<id>/trace).
-//       --any-node (run, submit, stats, spaces, health, top): --server
-//       may list several independent `tune serve` nodes; each is probed
-//       (bounded timeouts) and the first live one is used. Backends are
-//       deterministic, so every node answers a `run` identically.
-//       Session ids are per node, so get and trace take one server.
+//       --server names one IPv4 literal host and port.
 #include <charconv>
 #include <csignal>
 #include <cmath>
@@ -611,8 +604,6 @@ int cmd_serve(const Args& args) {
   args.require_known({"port", "host", "http-workers", "max-connections",
                       "max-body", "workers", "shards", "dataset-dir",
                       "event-loops", "admission-capacity", "retry-after",
-                      "client-rps", "client-burst", "group-rps",
-                      "group-burst", "group-prefix-bits", "force-poll",
                       "journal-dir", "journal-retain",
                       "journal-checkpoint-bytes", "log-level"});
   // Set the log level before anything can log (journal recovery below
@@ -691,19 +682,6 @@ int cmd_serve(const Args& args) {
   api_options.http.admission_capacity =
       args.get_size("admission-capacity", 0);  // 0 = server default
   api_options.http.retry_after_seconds = args.get_double("retry-after", 1.0);
-  api_options.http.force_poll = args.has("force-poll");
-  // Traffic policing is opt-in: no --client-rps / --group-rps means no
-  // limiter in the request path, matching pre-policing behavior.
-  api_options.http.rate_limit.per_client_rps =
-      args.get_double("client-rps", 0.0);
-  api_options.http.rate_limit.per_client_burst =
-      args.get_double("client-burst", 0.0);
-  api_options.http.rate_limit.per_group_rps =
-      args.get_double("group-rps", 0.0);
-  api_options.http.rate_limit.per_group_burst =
-      args.get_double("group-burst", 0.0);
-  api_options.http.rate_limit.group_prefix_bits =
-      static_cast<int>(args.get_size("group-prefix-bits", 24));
   api::ApiServer server(svc, api_options);
   server.start();
 
@@ -712,14 +690,6 @@ int cmd_serve(const Args& args) {
               api_options.http.host.c_str(), server.port(),
               api_options.http.workers, api_options.http.event_loops,
               svc.workers());
-  if (api_options.http.rate_limit.enabled()) {
-    std::printf("tune serve: rate limit client=%.1f rps (burst %.1f), "
-                "group=%.1f rps (/%d)\n",
-                api_options.http.rate_limit.per_client_rps,
-                api_options.http.rate_limit.per_client_burst,
-                api_options.http.rate_limit.per_group_rps,
-                api_options.http.rate_limit.group_prefix_bits);
-  }
   std::fflush(stdout);  // scripts parse this line for the ephemeral port
 
   int signal_number = 0;
@@ -733,14 +703,12 @@ int cmd_serve(const Args& args) {
   // those workers only after their sessions ran to natural completion.
   svc.shutdown();
   server.stop();
-  std::printf("http: %llu connections, %llu requests, %llu rate-limited, "
-              "%llu shed, %llu over-capacity\n",
+  std::printf("http: %llu connections, %llu requests, %llu shed, "
+              "%llu over-capacity\n",
               static_cast<unsigned long long>(
                   server.http().connections_accepted()),
               static_cast<unsigned long long>(
                   server.http().requests_served()),
-              static_cast<unsigned long long>(
-                  server.http().requests_rate_limited()),
               static_cast<unsigned long long>(server.http().requests_shed()),
               static_cast<unsigned long long>(
                   server.http().connections_over_capacity()));
@@ -750,48 +718,14 @@ int cmd_serve(const Args& args) {
 
 // --------------------------------------------------------- remote client --
 
-/// "--server host:port[,host:port...]" -> a connected-on-demand client.
-/// With --any-node (and a comma list), each candidate is probed with
-/// finite timeouts and the first responsive node wins. The nodes share
-/// nothing; deterministic backends are what make any node's answer to
-/// a `run` identical.
+/// "--server host:port" -> a connected-on-demand client.
 net::HttpClient remote_client(const Args& args) {
   const std::string server = args.get("server", "");
   if (server.empty()) {
-    throw std::invalid_argument(
-        "tune remote requires --server <host:port>[,host:port...]");
+    throw std::invalid_argument("tune remote requires --server <host:port>");
   }
-  std::vector<net::HostPort> candidates;
-  for (const auto& part : common::split(server, ',')) {
-    candidates.push_back(net::parse_host_port(part));
-  }
-  if (!args.has("any-node")) {
-    if (candidates.size() != 1) {
-      throw std::invalid_argument(
-          "--server lists several nodes; add --any-node to fail over");
-    }
-    return net::HttpClient(candidates.front().host, candidates.front().port);
-  }
-  for (const auto& candidate : candidates) {
-    try {
-      // A scoped probe client with bounded timeouts: the CLI's default
-      // client blocks indefinitely, which is exactly wrong for "skip
-      // the dead node".
-      net::HttpClient probe(candidate.host, candidate.port, {},
-                            net::ClientOptions{.connect_timeout_ms = 2000,
-                                               .io_timeout_ms = 2000});
-      if (probe.get("/v1/stats").status == 200) {
-        if (candidates.size() > 1) {
-          std::fprintf(stderr, "tune remote: using node %s\n",
-                       candidate.to_string().c_str());
-        }
-        return net::HttpClient(candidate.host, candidate.port);
-      }
-    } catch (const std::exception&) {
-      // unreachable / timed out: try the next node
-    }
-  }
-  throw std::runtime_error("no reachable node in --server list: " + server);
+  const net::HostPort address = net::parse_host_port(server);
+  return net::HttpClient(address.host, address.port);
 }
 
 /// Non-2xx: print the server's error body and fail the command.
@@ -843,7 +777,7 @@ int print_remote_result(const common::Json& result) {
 }
 
 int cmd_remote_run(const Args& args) {
-  args.require_known({"server", "any-node", "kernel", "tuner", "device",
+  args.require_known({"server", "kernel", "tuner", "device",
                       "budget", "seed", "backend", "async", "poll-ms"});
   service::SessionSpec spec;
   spec.kernel = args.get("kernel", "gemm");
@@ -880,7 +814,7 @@ int cmd_remote_run(const Args& args) {
 }
 
 int cmd_remote_submit(const Args& args) {
-  args.require_known({"server", "any-node", "kernel", "tuner", "device",
+  args.require_known({"server", "kernel", "tuner", "device",
                       "budget", "seed", "backend"});
   service::SessionSpec spec;
   spec.kernel = args.get("kernel", "gemm");
@@ -904,8 +838,6 @@ int cmd_remote_submit(const Args& args) {
 }
 
 int cmd_remote_get(const Args& args) {
-  // No --any-node: ids are per node, so failing over would silently
-  // answer with another node's session of the same id.
   args.require_known({"server", "id"});
   if (!args.has("id")) {
     std::fprintf(stderr, "tune remote get requires --id <n>\n");
@@ -919,7 +851,7 @@ int cmd_remote_get(const Args& args) {
 }
 
 int cmd_remote_simple(const Args& args, const std::string& target) {
-  args.require_known({"server", "any-node"});
+  args.require_known({"server"});
   auto client = remote_client(args);
   const auto response = client.get(target);
   if (!remote_ok(response)) return 1;
@@ -932,7 +864,7 @@ int cmd_remote_simple(const Args& args, const std::string& target) {
 /// and /v1/stats (both registry-backed, so this agrees with a
 /// Prometheus scrape taken at the same instant).
 int cmd_remote_top(const Args& args) {
-  args.require_known({"server", "any-node"});
+  args.require_known({"server"});
   auto client = remote_client(args);
   const auto health_response = client.get("/v1/healthz");
   if (!remote_ok(health_response)) return 1;
@@ -961,14 +893,11 @@ int cmd_remote_top(const Args& args) {
               static_cast<unsigned long long>(
                   cache.at("cross_session_hits").as_uint()));
   const auto& http = stats.at("http");
-  std::printf("http:     requests=%llu open=%llu rate_limited=%llu "
-              "shed=%llu\n",
+  std::printf("http:     requests=%llu open=%llu shed=%llu\n",
               static_cast<unsigned long long>(
                   http.at("requests_served").as_uint()),
               static_cast<unsigned long long>(
                   http.at("connections_open").as_uint()),
-              static_cast<unsigned long long>(
-                  http.at("requests_rate_limited").as_uint()),
               static_cast<unsigned long long>(
                   http.at("requests_shed").as_uint()));
   const auto& durability = stats.at("durability");
@@ -989,7 +918,7 @@ int cmd_remote_top(const Args& args) {
 /// `tune remote trace --id N`: the span timeline of a tracked session,
 /// one line per span with offsets relative to the first span.
 int cmd_remote_trace(const Args& args) {
-  args.require_known({"server", "id"});  // ids are per node
+  args.require_known({"server", "id"});
   if (!args.has("id")) {
     std::fprintf(stderr, "tune remote trace requires --id <n>\n");
     return 2;
@@ -1056,16 +985,12 @@ void print_usage() {
       "  serve   [--port 8080] [--host H] [--http-workers N]\n"
       "          [--event-loops N] [--max-connections N] [--max-body BYTES]\n"
       "          [--admission-capacity N] [--retry-after SECS]\n"
-      "          [--client-rps R] [--client-burst B] [--group-rps R]\n"
-      "          [--group-burst B] [--group-prefix-bits N] [--force-poll]\n"
       "          [--workers N] [--shards P] [--dataset-dir DIR]\n"
       "          [--journal-dir DIR [--journal-retain N]\n"
       "           [--journal-checkpoint-bytes BYTES]]\n"
       "          [--log-level debug|info|warn|error|off]\n"
       "  remote  <run|submit|get|stats|spaces|health|top|trace>\n"
-      "          --server host:port[,...]\n"
-      "          [--any-node] (probe the list, use the first live node;\n"
-      "           not for get and trace: ids are per node)\n"
+      "          --server host:port\n"
       "          run: spec flags like `tune run` [--async] [--poll-ms MS]\n"
       "          submit: spec flags; prints the bare session id\n"
       "          get: --id N\n"
