@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <map>
+#include <sstream>
 
 #include "core/runner.hpp"
 #include "kernels/all_kernels.hpp"
@@ -65,6 +69,114 @@ TEST_P(AllTunersSweep, BeatsTheMedianWithModestBudget) {
 INSTANTIATE_TEST_SUITE_P(Tuners, AllTunersSweep,
                          ::testing::ValuesIn(tuner_names()),
                          [](const auto& info) { return info.param; });
+
+/// FNV-1a 64 over every trace entry's (index, objective bit pattern), in
+/// order: the rule bat_bench's add_session folds into its golden digests.
+std::uint64_t trace_digest(const std::vector<core::TraceEntry>& trace) {
+  std::uint64_t state = 0xcbf29ce484222325ULL;
+  const auto add = [&state](std::uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      state ^= (value >> (8 * i)) & 0xff;
+      state *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& entry : trace) {
+    add(entry.index);
+    add(std::bit_cast<std::uint64_t>(entry.objective));
+  }
+  return state;
+}
+
+/// Live device-0 trace digests per (tuner, kernel), for seeds 1 and 2,
+/// at budget 200 (60 for the surrogate). A change to any tuner's draw
+/// order, proposal rule or evaluation path shows up here.
+const std::map<std::pair<std::string, std::string>,
+               std::array<std::uint64_t, 2>>
+    kGoldenTraceDigests = {
+    {{"random", "gemm"}, {0x4cb529390cf61b99, 0xdf90c3cc98ad85fb}},
+    {{"random", "nbody"}, {0x6e95917ea14d2acb, 0x2aed0b85b5ff5c1d}},
+    {{"random", "hotspot"}, {0x147f7cae20fa7b1d, 0xd554a83d26838e11}},
+    {{"random", "pnpoly"}, {0x9555ce83db5a7f2e, 0x915c870687ef6da9}},
+    {{"random", "convolution"}, {0x4dc8ff14f9878469, 0x45fe2f07cb86681}},
+    {{"random", "expdist"}, {0x1c9b75526897eed1, 0x37ae21f4df85c086}},
+    {{"random", "dedisp"}, {0xefd9ed7327bd0c14, 0xccf8acb9b71f6431}},
+    {{"local", "gemm"}, {0xfca63495d0b0735b, 0x1cd44bc3a253b69b}},
+    {{"local", "nbody"}, {0x7e22d15f76498c56, 0x3142b8af97de896a}},
+    {{"local", "hotspot"}, {0xbe6340955fe361d5, 0xd0ec3b4fa99b8e0f}},
+    {{"local", "pnpoly"}, {0xeea46457bb6b9b8b, 0x5373e48348318e3c}},
+    {{"local", "convolution"}, {0x255da1bc09ca8722, 0x4ce2462d035690cd}},
+    {{"local", "expdist"}, {0xe5fe0cfef880bd0e, 0x72dbab5a85d90f5b}},
+    {{"local", "dedisp"}, {0x53e71e636a704c3d, 0x93c603d2f6c6abb8}},
+    {{"annealing", "gemm"}, {0xcefc4f70f9d35442, 0x564df1dc28b726c7}},
+    {{"annealing", "nbody"}, {0xdabed46ea118aabd, 0xe23950bb13fb6db9}},
+    {{"annealing", "hotspot"}, {0xc8e48d09f8b40d, 0x8c7cbc55fa212ec}},
+    {{"annealing", "pnpoly"}, {0xae6be9fb29356312, 0x1821b06d5cf3eea7}},
+    {{"annealing", "convolution"}, {0xf8be4e43c1840ec2, 0x34dff9fab60252e1}},
+    {{"annealing", "expdist"}, {0x143ecbcdbea68716, 0x39b6dcbf71a327c4}},
+    {{"annealing", "dedisp"}, {0xbaced9ed66ed5d3e, 0x65f8eb8771f5fa8}},
+    {{"genetic", "gemm"}, {0xb74f6c3357682974, 0x2e643faaa6dc1b66}},
+    {{"genetic", "nbody"}, {0x139dcf455b2e50ed, 0xfa69c6e444e0b68f}},
+    {{"genetic", "hotspot"}, {0x3a9cc22197eda094, 0x37bd1ef2aca908d1}},
+    {{"genetic", "pnpoly"}, {0x1b38dc00b49280a5, 0x1d3b15c1fe1b846f}},
+    {{"genetic", "convolution"}, {0x94f1216edf05e500, 0x8fae7b1e9b403e55}},
+    {{"genetic", "expdist"}, {0x65413ca1e7247fa2, 0xbf95c6b516e68400}},
+    {{"genetic", "dedisp"}, {0xd770cfdf6de4843, 0xea245794d376d874}},
+    {{"ils", "gemm"}, {0xc583b0d177ef8211, 0xc8ba351f68b40283}},
+    {{"ils", "nbody"}, {0x9b836387b72822a3, 0xee957c59fb8404c6}},
+    {{"ils", "hotspot"}, {0xbe6340955fe361d5, 0x2a794ac2073fadf3}},
+    {{"ils", "pnpoly"}, {0xca9aeac6f9b93e4a, 0x801d30955d75b0ab}},
+    {{"ils", "convolution"}, {0x4920b5ee55e3a991, 0xb8a65ed5f635137a}},
+    {{"ils", "expdist"}, {0x79c59caee201c29b, 0xa9bcbaef2e60a376}},
+    {{"ils", "dedisp"}, {0x53e71e636a704c3d, 0xe8f1ee175413c851}},
+    {{"pso", "gemm"}, {0x1f3251bd8e9c2dde, 0x56fa0808ed8d779c}},
+    {{"pso", "nbody"}, {0xfd4013f23be85ba4, 0x92bcb9aabc9fbfb5}},
+    {{"pso", "hotspot"}, {0xca6d5a0545e9cbf9, 0xbc6fdc73bc8dc89a}},
+    {{"pso", "pnpoly"}, {0x379ec3eee941eccc, 0x9c7134116fbd1db3}},
+    {{"pso", "convolution"}, {0x31725ec60aadf6cd, 0xb45db68fcc9fe73e}},
+    {{"pso", "expdist"}, {0x826a33eeabce6197, 0xd05c71d16d4d2973}},
+    {{"pso", "dedisp"}, {0x4067bce136050cf3, 0xd32a3cf63288883f}},
+    {{"de", "gemm"}, {0x41784dd66247b75a, 0xe742ef5f6ee98529}},
+    {{"de", "nbody"}, {0x247819adcbefc40d, 0x7256a6c06467b285}},
+    {{"de", "hotspot"}, {0x6dc6c0d322eab339, 0x3d07a4052b70bf1}},
+    {{"de", "pnpoly"}, {0x431754bd5d7b3ec7, 0xb25324f3b6f1aaa9}},
+    {{"de", "convolution"}, {0xaa5b2e3493c922f6, 0xfba81ba7be7238b3}},
+    {{"de", "expdist"}, {0xfef0dbe596de0ab4, 0xddcf31ce0ae2a427}},
+    {{"de", "dedisp"}, {0xab328b3d20058ebd, 0xc3a6f9346751ddf6}},
+    {{"surrogate", "gemm"}, {0x7e73b1a56c7e1f66, 0x927f54372e97db58}},
+    {{"surrogate", "nbody"}, {0x6475ce81385453fa, 0xc723008e6c7baf9e}},
+    {{"surrogate", "hotspot"}, {0x97c9171bd5a5e465, 0xf488dc55f10faefe}},
+    {{"surrogate", "pnpoly"}, {0x9a0145368a7e5a9, 0x5c73281c2b0618ad}},
+    {{"surrogate", "convolution"}, {0xf9ea5af9b5ec6087, 0xb8f832a3d072db76}},
+    {{"surrogate", "expdist"}, {0xa8433a3be951cad0, 0x2ee696cbd4b48919}},
+    {{"surrogate", "dedisp"}, {0xef5c952a53b9be96, 0x7b93cee854c01338}},
+};
+
+TEST_P(AllTunersSweep, TracesMatchGoldenDigests) {
+  const std::string& tuner_name = GetParam();
+  const std::size_t budget = tuner_name == "surrogate" ? 60 : 200;
+  std::ostringstream actual;
+  for (const auto& kernel : kernels::paper_benchmark_names()) {
+    const auto bench = kernels::make(kernel);
+    const auto found = kGoldenTraceDigests.find({tuner_name, kernel});
+    const auto golden = found == kGoldenTraceDigests.end()
+                            ? std::array<std::uint64_t, 2>{}
+                            : found->second;
+    for (const std::uint64_t seed : {1ULL, 2ULL}) {
+      auto tuner = make_tuner(tuner_name);
+      const auto run = run_tuner(*tuner, *bench, 0, budget, seed);
+      const std::uint64_t digest = trace_digest(run.trace);
+      actual << (seed == 1 ? "    {{\"" + tuner_name + "\", \"" + kernel +
+                                 "\"}, {"
+                           : ", ")
+             << "0x" << std::hex << digest << std::dec
+             << (seed == 2 ? "}},\n" : "");
+      EXPECT_EQ(digest, golden[seed - 1])
+          << tuner_name << " on " << kernel << ", seed " << seed;
+    }
+  }
+  // On a deliberate trace change, this is the table to paste above.
+  if (HasFailure()) ADD_FAILURE() << "digests now:\n" << actual.str();
+}
 
 TEST(LocalSearch, ReachesALocalMinimum) {
   const auto bench = kernels::make("pnpoly");
