@@ -2,8 +2,8 @@
 //
 // Each harness regenerates one table or figure of the paper: it runs the
 // paper's experimental design (§V: exhaustive for Pnpoly/Nbody/GEMM/
-// Convolution, 10 000 random configurations for Hotspot/Dedisp/Expdist)
-// and prints the same rows/series the paper reports.
+// Convolution, 10 000 random configurations for Hotspot/Dedisp/Expdist;
+// see core/runner.hpp) and prints the same rows/series the paper reports.
 #pragma once
 
 #include <cstdio>
@@ -18,10 +18,6 @@
 
 namespace bat::bench {
 
-inline constexpr std::uint64_t kDatasetSeed = 0xBA7BA7ULL;
-inline constexpr std::size_t kSampleCount = 10'000;
-inline constexpr std::uint64_t kExhaustiveLimit = 100'000;
-
 /// Figure harnesses resolve every dataset through the process-wide
 /// io::DatasetRepository — one sweep (or one archive parse) per
 /// (benchmark, device), shared across harness sections; exporting
@@ -30,8 +26,7 @@ inline constexpr std::uint64_t kExhaustiveLimit = 100'000;
 /// re-simulating. The local map only skips repeated kernel registry
 /// lookups on the hit path.
 inline const core::Dataset& dataset(const std::string& benchmark,
-                                    core::DeviceIndex device,
-                                    std::size_t samples = kSampleCount) {
+                                    core::DeviceIndex device) {
   static std::map<std::pair<std::string, core::DeviceIndex>,
                   std::shared_ptr<const core::Dataset>>
       cache;
@@ -39,7 +34,7 @@ inline const core::Dataset& dataset(const std::string& benchmark,
   const auto it = cache.find(key);
   if (it != cache.end()) return *it->second;
   const auto bench = kernels::make(benchmark);
-  auto ds = io::DatasetRepository::global().get(*bench, device, samples);
+  auto ds = io::DatasetRepository::global().get(*bench, device);
   return *cache.emplace(key, std::move(ds)).first->second;
 }
 

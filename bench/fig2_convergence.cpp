@@ -72,7 +72,7 @@ int main() {
     // Only sound where the sweep covered the whole space. One service,
     // one session per (device, tuner, repeat); the per-device datasets
     // are registered so every session replays the shared table.
-    if (bench_obj->space().cardinality() <= bench::kExhaustiveLimit) {
+    if (bench_obj->space().cardinality() <= core::kExhaustiveLimit) {
       service::TuningService svc;
       std::vector<service::SessionSpec> specs;
       for (core::DeviceIndex d = 0; d < bench_obj->device_count(); ++d) {

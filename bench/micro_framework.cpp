@@ -5,10 +5,9 @@
 // continuous features; BM_GbdtFitDiscrete and BM_GbdtPredictAll use
 // BAT-shaped discrete ones, the data the paper's analyses fit.
 //
-// The *Config / *Index pairs compare the seed Config-materializing hot
-// paths against the compiled index-space paths (CompiledSpace): neighbor
-// iteration with no per-step Config allocation, and FFG construction in
-// flat CSR off the valid-index set instead of a hash map.
+// Tuner-side micros run in the index currency tuners use: valid draws
+// and Hamming-1 neighbors come from the compiled space (CompiledSpace),
+// evaluations go through CachingEvaluator::evaluate_index.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -16,13 +15,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 
 #include "analysis/ffg.hpp"
 #include "analysis/pagerank.hpp"
 #include "api/api_server.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "core/backend.hpp"
 #include "core/compiled_space.hpp"
 #include "core/evaluator.hpp"
@@ -57,7 +54,8 @@ void BM_ConstraintCheck(benchmark::State& state) {
   const auto bench = kernels::make("gemm");
   const auto& space = bench->space();
   common::Rng rng(1);
-  const auto config = space.params().random_config(rng);
+  const auto config =
+      space.params().config_at(rng.next_below(space.cardinality()));
   for (auto _ : state) {
     benchmark::DoNotOptimize(space.constraints().satisfied(config));
   }
@@ -67,28 +65,17 @@ BENCHMARK(BM_ConstraintCheck);
 void BM_SimulatedEvaluation(benchmark::State& state) {
   const auto bench = kernels::make("gemm");
   common::Rng rng(2);
-  const auto config = bench->space().random_valid_config(rng);
+  const auto& space = bench->space();
+  const auto config = space.params().config_at(space.random_valid_index(rng));
   for (auto _ : state) {
     benchmark::DoNotOptimize(bench->evaluate(config, 2).time_ms);
   }
 }
 BENCHMARK(BM_SimulatedEvaluation);
 
-// Seed path: materialize a std::vector<Config> of valid neighbors.
-void BM_NeighborsConfig(benchmark::State& state, const std::string& kernel) {
-  const auto bench = kernels::make(kernel);
-  common::Rng rng(3);
-  const auto config = bench->space().random_valid_config(rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bench->space().valid_neighbors(config).size());
-  }
-}
-BENCHMARK_CAPTURE(BM_NeighborsConfig, gemm, "gemm");
-BENCHMARK_CAPTURE(BM_NeighborsConfig, hotspot, "hotspot");
-
-// Index-space path: for_each_valid_neighbor_index, pure index
-// arithmetic + rank probes (gemm, materialized) or the constraint plan
-// (hotspot, streamed) — no per-step allocation.
+// for_each_valid_neighbor_index: pure index arithmetic + rank probes
+// (gemm, materialized) or the constraint plan (hotspot, streamed) — no
+// per-step allocation.
 void BM_NeighborsIndex(benchmark::State& state, const std::string& kernel) {
   const auto bench = kernels::make(kernel);
   const auto& compiled = bench->space().compiled();
@@ -109,51 +96,13 @@ void BM_RandomValidSample(benchmark::State& state) {
   const auto bench = kernels::make("expdist");  // ~5% acceptance
   common::Rng rng(4);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        bench->space().random_valid_config(rng).front());
+    benchmark::DoNotOptimize(bench->space().random_valid_index(rng));
   }
 }
 BENCHMARK(BM_RandomValidSample);
 
-// Seed FFG construction: ConfigIndex -> node via an unordered_map, one
-// edge vector per node (replica of the pre-CompiledSpace build).
-void BM_FfgBuildHashMap(benchmark::State& state) {
-  const auto bench = kernels::make("pnpoly");
-  const auto ds = core::Runner::run_exhaustive(*bench, 0);
-  const auto& params = bench->space().params();
-  for (auto _ : state) {
-    std::unordered_map<core::ConfigIndex, std::uint32_t> node_of;
-    std::vector<core::ConfigIndex> index_of_node;
-    std::vector<double> times;
-    node_of.reserve(ds.size());
-    for (std::size_t r = 0; r < ds.size(); ++r) {
-      if (!ds.row_ok(r)) continue;
-      node_of.emplace(ds.config_index(r),
-                      static_cast<std::uint32_t>(index_of_node.size()));
-      index_of_node.push_back(ds.config_index(r));
-      times.push_back(ds.time_ms(r));
-    }
-    std::vector<std::vector<std::uint32_t>> edges(times.size());
-    common::parallel_for_chunked(
-        0, times.size(), [&](std::size_t lo, std::size_t hi, std::size_t) {
-          core::Config config;
-          for (std::size_t node = lo; node < hi; ++node) {
-            params.decode_into(index_of_node[node], config);
-            auto& out = edges[node];
-            params.for_each_neighbor(config, [&](const core::Config& n) {
-              const auto it = node_of.find(params.index_of_config(n));
-              if (it == node_of.end()) return;
-              if (times[it->second] < times[node]) out.push_back(it->second);
-            });
-          }
-        });
-    benchmark::DoNotOptimize(edges.data());
-  }
-}
-BENCHMARK(BM_FfgBuildHashMap);
-
-// Index-space FFG construction: flat CSR arrays off the compiled
-// valid-index set (rank lookups, parallel pass).
+// FFG construction: flat CSR arrays off the compiled valid-index set
+// (rank lookups, parallel pass).
 void BM_FfgBuildCsr(benchmark::State& state) {
   const auto bench = kernels::make("pnpoly");
   const auto ds = core::Runner::run_exhaustive(*bench, 0);
@@ -249,16 +198,19 @@ BENCHMARK(BM_PageRank)->Arg(1000)->Arg(10000);
 
 void BM_TunerStepLocalSearch(benchmark::State& state) {
   const auto bench = kernels::make("pnpoly");
+  const auto& compiled = bench->space().compiled();
+  core::NeighborScratch scratch;
   for (auto _ : state) {
     core::LiveBackend backend(*bench, 0);
     core::CachingEvaluator eval(backend, 64);
     common::Rng rng(7);
     try {
-      core::Config current = bench->space().random_valid_config(rng);
-      double best = eval(current);
-      for (const auto& neighbor : bench->space().valid_neighbors(current)) {
-        best = std::min(best, eval(neighbor));
-      }
+      const core::ConfigIndex current = compiled.random_valid_index(rng);
+      double best = eval.evaluate_index(current);
+      compiled.for_each_valid_neighbor_index(
+          current, scratch, [&](core::ConfigIndex neighbor) {
+            best = std::min(best, eval.evaluate_index(neighbor));
+          });
       benchmark::DoNotOptimize(best);
     } catch (const core::BudgetExhausted&) {
     }
@@ -274,10 +226,8 @@ void BM_BatchEvaluateLive(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   std::vector<core::ConfigIndex> indices;
   indices.reserve(n);
-  const auto& params = bench->space().params();
   for (std::size_t i = 0; i < n; ++i) {
-    indices.push_back(
-        params.index_of_config(bench->space().random_valid_config(rng)));
+    indices.push_back(bench->space().random_valid_index(rng));
   }
   core::LiveBackend backend(*bench, 0);
   for (auto _ : state) {
@@ -294,10 +244,8 @@ void BM_BatchEvaluateReplay(benchmark::State& state) {
   common::Rng rng(9);
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   std::vector<core::ConfigIndex> indices;
-  const auto& params = bench->space().params();
   for (std::size_t i = 0; i < n; ++i) {
-    indices.push_back(
-        params.index_of_config(bench->space().random_valid_config(rng)));
+    indices.push_back(bench->space().random_valid_index(rng));
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(backend.evaluate_batch(indices).front().time_ms);

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
 
   const auto benchmark = kernels::make(benchmark_name);
   const bool exhaustive =
-      benchmark->space().cardinality() <= bench::kExhaustiveLimit;
+      benchmark->space().cardinality() <= core::kExhaustiveLimit;
   const bool replay =
       backend_mode == "replay" || (backend_mode == "auto" && exhaustive);
   if (replay && !exhaustive) {

@@ -2,15 +2,16 @@
 // replay (the actual Fig 1-6 figures are drawn from exactly these
 // rows).
 //
-//   $ ./export_datasets [output_dir] [samples]
+//   $ ./export_datasets [output_dir]
 //
 // Writes one CSV (interchange) and one binary columnar archive
 // (performance: opening it is O(1), no text parse) per
 // (benchmark, device) with the paper's §V design: exhaustive for the
-// four small spaces, `samples` random configurations for the three
-// large ones. Datasets resolve through the shared io::DatasetRepository
-// — the same sweep the figure harnesses use — and both files read back
-// through io::load_dataset for downstream C++ analysis.
+// four small spaces, 10 000 random configurations for the three large
+// ones (`tune sweep --samples N` writes other sizes). Datasets resolve
+// through the shared io::DatasetRepository — the same sweep the figure
+// harnesses use — and both files read back through io::load_dataset
+// for downstream C++ analysis.
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -21,25 +22,12 @@
 int main(int argc, char** argv) {
   using namespace bat;
   const std::string out_dir = argc > 1 ? argv[1] : ".";
-  const std::size_t samples = argc > 2 ? std::stoul(argv[2]) : 10'000;
   std::filesystem::create_directories(out_dir);
 
   for (const auto& name : kernels::paper_benchmark_names()) {
     const auto benchmark = kernels::make(name);
     for (core::DeviceIndex d = 0; d < benchmark->device_count(); ++d) {
-      const auto& ds = bench::dataset(name, d, samples);
-      // Repository resolution can return a cached archive swept with a
-      // different sample count — say so rather than silently exporting
-      // rows the user didn't ask for.
-      if (benchmark->space().cardinality() > bench::kExhaustiveLimit &&
-          ds.size() != samples) {
-        std::fprintf(stderr,
-                     "note: %s@%s resolved from the dataset cache with %zu "
-                     "rows (requested %zu samples); clear BAT_DATASET_DIR's "
-                     "archive to re-sweep\n",
-                     name.c_str(), benchmark->device_name(d).c_str(),
-                     ds.size(), samples);
-      }
+      const auto& ds = bench::dataset(name, d);
       const std::string stem =
           out_dir + "/" + name + "_" + benchmark->device_name(d);
       io::save_dataset(stem + ".csv", ds, io::DatasetFormat::kCsv);

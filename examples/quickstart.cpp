@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   core::Dataset dataset;  // keeps replay rows alive for the run
   std::unique_ptr<core::EvaluationBackend> backend;
   if (backend_name == "replay") {
-    if (benchmark->space().cardinality() > bench::kExhaustiveLimit) {
+    if (benchmark->space().cardinality() > core::kExhaustiveLimit) {
       std::fprintf(stderr,
                    "replay needs an exhaustively enumerable space; '%s' has "
                    "%llu configurations\n",

@@ -11,6 +11,9 @@ namespace bat::analysis {
 
 namespace {
 
+/// A parameter is "important" at or above this PFI on some device.
+constexpr double kPfiThreshold = 0.05;
+
 /// Counts configurations of the projected space (reduced params free,
 /// others pinned to `pinned`) that satisfy the constraints.
 std::uint64_t count_reduce_constrained(const core::SearchSpace& space,
@@ -51,8 +54,7 @@ std::uint64_t count_reduce_constrained(const core::SearchSpace& space,
 }  // namespace
 
 SpaceStats space_stats(const core::Benchmark& benchmark,
-                       const std::vector<ImportanceReport>& reports,
-                       const SpaceStatsOptions& options) {
+                       const std::vector<ImportanceReport>& reports) {
   BAT_EXPECTS(reports.size() == benchmark.device_count());
   const auto& space = benchmark.space();
   const auto& params = space.params();
@@ -63,7 +65,7 @@ SpaceStats space_stats(const core::Benchmark& benchmark,
   stats.constrained = space.count_constrained();
 
   // Valid (per-device) only for exhaustively enumerable spaces.
-  if (stats.cardinality <= options.exhaustive_limit) {
+  if (stats.cardinality <= core::kExhaustiveLimit) {
     std::uint64_t vmin = std::numeric_limits<std::uint64_t>::max();
     std::uint64_t vmax = 0;
     for (core::DeviceIndex d = 0; d < benchmark.device_count(); ++d) {
@@ -82,7 +84,7 @@ SpaceStats space_stats(const core::Benchmark& benchmark,
   for (const auto& report : reports) {
     BAT_EXPECTS(report.importance.size() == params.num_params());
     for (std::size_t p = 0; p < report.importance.size(); ++p) {
-      if (report.importance[p] >= options.pfi_threshold) important.insert(p);
+      if (report.importance[p] >= kPfiThreshold) important.insert(p);
     }
   }
   std::vector<std::size_t> kept(important.begin(), important.end());
@@ -95,10 +97,7 @@ SpaceStats space_stats(const core::Benchmark& benchmark,
   // Reduce-Constrained: constraints re-applied on the projected subspace,
   // with the non-reduced parameters pinned to the best-known values.
   {
-    common::Rng rng(options.seed);
-    const auto ds = core::Runner::run_default(benchmark, 0, options.seed,
-                                              options.samples,
-                                              options.exhaustive_limit);
+    const auto ds = core::Runner::run_default(benchmark, 0);
     pinned = ds.config(ds.best_row());
   }
   stats.reduce_constrained =

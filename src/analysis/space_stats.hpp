@@ -3,8 +3,8 @@
 //   Cardinality        |product of value-set sizes|
 //   Constrained        configurations passing static constraints
 //   Valid              per-device range of launchable configurations
-//                      (exhaustive benchmarks only; "N/A" otherwise,
-//                      matching the paper)
+//                      (spaces within core::kExhaustiveLimit only;
+//                      "N/A" otherwise, matching the paper)
 //   Reduced            cardinality restricted to parameters whose PFI is
 //                      >= 0.05 on at least one device
 //   Reduce-Constrained Reduced with constraints re-applied (counted on
@@ -32,21 +32,11 @@ struct SpaceStats {
   std::vector<std::string> reduced_params;  // the kept parameters
 };
 
-struct SpaceStatsOptions {
-  double pfi_threshold = 0.05;
-  /// Spaces at most this large get the exhaustive Valid count.
-  std::uint64_t exhaustive_limit = 100'000;
-  /// Sample size for the PFI datasets of the large benchmarks.
-  std::size_t samples = 10'000;
-  std::uint64_t seed = 0xBA7BA7ULL;
-};
-
 /// Computes the full Table VIII row for one benchmark; `reports[d]` must
 /// hold the Fig 6 importance result per device (so the expensive PFI
 /// work is shared with the Fig 6 harness).
 [[nodiscard]] SpaceStats space_stats(
     const core::Benchmark& benchmark,
-    const std::vector<ImportanceReport>& reports,
-    const SpaceStatsOptions& options = {});
+    const std::vector<ImportanceReport>& reports);
 
 }  // namespace bat::analysis

@@ -13,27 +13,12 @@ CachingEvaluator::CachingEvaluator(EvaluationBackend& backend,
   memo_.reserve(std::min<std::size_t>(budget, 1 << 16));
 }
 
-double CachingEvaluator::operator()(const Config& config) {
-  return evaluate_index(space().params().index_of_config(config));
-}
-
 double CachingEvaluator::evaluate_index(ConfigIndex index) {
   const ConfigIndex indices[1] = {index};
-  return evaluate_indices(indices).front();
+  return evaluate_batch(indices).front();
 }
 
 std::vector<double> CachingEvaluator::evaluate_batch(
-    const std::vector<Config>& configs) {
-  const auto& params = space().params();
-  std::vector<ConfigIndex> indices;
-  indices.reserve(configs.size());
-  for (const auto& config : configs) {
-    indices.push_back(params.index_of_config(config));
-  }
-  return evaluate_indices(indices);
-}
-
-std::vector<double> CachingEvaluator::evaluate_indices(
     std::span<const ConfigIndex> indices) {
   // Every tuner measurement funnels through here, so these spans give a
   // traced session its evaluate-phase timeline. A larger batch (a

@@ -6,17 +6,16 @@
 // the paper's convergence plots (Fig 2) are "best objective so far vs
 // number of *distinct* function evaluations".
 //
-// Tuners drive it two ways:
-//   * exception-driven: operator()(config) or evaluate_index(index) one
-//     evaluation at a time until BudgetExhausted is thrown (the classic
-//     single-point tuners);
-//   * batched ask/tell: evaluate_batch(configs) sends a whole population
+// Tuners drive it by ConfigIndex, two ways:
+//   * exception-driven: evaluate_index(index) one evaluation at a time
+//     until BudgetExhausted is thrown (the classic single-point tuners);
+//   * batched ask/tell: evaluate_batch(indices) sends a whole population
 //     generation through the backend in one call, which LiveBackend fans
 //     out over the thread pool. A batch crossing the budget boundary is
 //     truncated so the trace ends exactly at the budget, byte-identical
 //     to charging one evaluation at a time.
-// All three calls share one index-batch path, and each call sends the
-// backend one evaluate_batch at most: the call's first-occurrence
+// evaluate_index is a one-element evaluate_batch, and each call sends
+// the backend one evaluate_batch at most: the call's first-occurrence
 // misses, or — with a shared cache hooked in — the misses this session
 // claimed (a claim another session abandons is then taken over one
 // config at a time).
@@ -54,19 +53,14 @@ class CachingEvaluator {
 
   /// Evaluates (or recalls) one configuration. Throws BudgetExhausted
   /// when a cache miss would exceed the budget.
-  double operator()(const Config& config);
-
-  /// Index-native single evaluation: no Config round-trip. This is what
-  /// the neighbor-driven tuners call from
-  /// CompiledSpace::for_each_valid_neighbor_index loops.
   double evaluate_index(ConfigIndex index);
 
-  /// Evaluates a batch of configurations; results align with `configs`.
+  /// Evaluates a batch of configurations; results align with `indices`.
   /// Distinct cache misses are evaluated through one backend batch (in
   /// parallel for LiveBackend) and charged in first-occurrence order;
   /// hits and within-batch duplicates are free. Throws BudgetExhausted
   /// after recording as many misses as still fit the budget.
-  std::vector<double> evaluate_batch(const std::vector<Config>& configs);
+  std::vector<double> evaluate_batch(std::span<const ConfigIndex> indices);
 
   [[nodiscard]] const SearchSpace& space() const noexcept {
     return backend_->space();
@@ -101,9 +95,6 @@ class CachingEvaluator {
   }
 
  private:
-  /// The one evaluation path; objectives align with `indices`.
-  std::vector<double> evaluate_indices(std::span<const ConfigIndex> indices);
-
   /// Resolves `misses` through the shared cross-session cache: claims
   /// every miss first (non-blocking), evaluates + publishes the claimed
   /// ones through the backend, then waits for the pending ones.

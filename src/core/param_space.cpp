@@ -99,21 +99,6 @@ bool ParamSpace::contains(const Config& config) const noexcept {
   return true;
 }
 
-Config ParamSpace::random_config(common::Rng& rng) const {
-  BAT_EXPECTS(cardinality_ > 0);
-  return config_at(rng.next_below(cardinality_));
-}
-
-std::vector<Config> ParamSpace::neighbors(const Config& config) const {
-  BAT_EXPECTS(config.size() == params_.size());
-  std::vector<Config> out;
-  std::size_t total = 0;
-  for (const auto& p : params_) total += p.cardinality() - 1;
-  out.reserve(total);
-  for_each_neighbor(config, [&](const Config& n) { out.push_back(n); });
-  return out;
-}
-
 std::string ParamSpace::describe(const Config& config) const {
   BAT_EXPECTS(config.size() == params_.size());
   std::string out;

@@ -15,7 +15,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "core/parameter.hpp"
 #include "core/types.hpp"
 
@@ -62,30 +61,6 @@ class ParamSpace {
 
   /// True iff each value is a member of the corresponding parameter.
   [[nodiscard]] bool contains(const Config& config) const noexcept;
-
-  /// Uniform random configuration from the full product.
-  [[nodiscard]] Config random_config(common::Rng& rng) const;
-
-  /// All Hamming-distance-1 neighbors (same parameters, one value swapped
-  /// for any other value of that parameter). This is the neighborhood
-  /// used for the fitness-flow graph and the local-search tuners.
-  [[nodiscard]] std::vector<Config> neighbors(const Config& config) const;
-
-  /// Calls fn(neighbor) for each Hamming-1 neighbor without materializing
-  /// the list. `scratch` is mutated in place and restored.
-  template <typename Fn>
-  void for_each_neighbor(const Config& config, Fn&& fn) const {
-    Config scratch = config;
-    for (std::size_t p = 0; p < params_.size(); ++p) {
-      const Value original = scratch[p];
-      for (const Value v : params_[p].values()) {
-        if (v == original) continue;
-        scratch[p] = v;
-        fn(static_cast<const Config&>(scratch));
-      }
-      scratch[p] = original;
-    }
-  }
 
   /// Pretty "name=value, ..." string for logs and examples.
   [[nodiscard]] std::string describe(const Config& config) const;

@@ -44,11 +44,10 @@ Dataset Runner::run_sampled(const Benchmark& benchmark, DeviceIndex device,
 }
 
 Dataset Runner::run_default(const Benchmark& benchmark, DeviceIndex device,
-                            std::uint64_t seed, std::size_t samples,
-                            std::uint64_t exhaustive_limit) {
+                            std::uint64_t seed, std::size_t samples) {
   // The cheap upper bound (cardinality) decides first; only when the full
   // product is small do we pay for an exact constrained count.
-  if (benchmark.space().cardinality() <= exhaustive_limit) {
+  if (benchmark.space().cardinality() <= kExhaustiveLimit) {
     return run_exhaustive(benchmark, device);
   }
   return run_sampled(benchmark, device, samples, seed);
@@ -130,9 +129,8 @@ std::size_t Runner::stream_sampled(const Benchmark& benchmark,
 std::size_t Runner::stream_default(const Benchmark& benchmark,
                                    DeviceIndex device, const RowSink& sink,
                                    std::uint64_t seed, std::size_t samples,
-                                   std::uint64_t exhaustive_limit,
                                    std::size_t batch_rows) {
-  if (benchmark.space().cardinality() <= exhaustive_limit) {
+  if (benchmark.space().cardinality() <= kExhaustiveLimit) {
     return stream_exhaustive(benchmark, device, sink, batch_rows);
   }
   return stream_sampled(benchmark, device, samples, seed, sink, batch_rows);

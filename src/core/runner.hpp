@@ -1,6 +1,7 @@
 // Parallel dataset builders reproducing the paper's experimental design
 // (§V): exhaustive search for Pnpoly/Nbody/GEMM/Convolution, 10 000 random
-// configurations for Hotspot/Dedisp/Expdist.
+// configurations for Hotspot/Dedisp/Expdist (kSweepSeed, kSweepSamples
+// and kExhaustiveLimit below).
 //
 // Two shapes: the run_* builders materialize a Dataset value; the
 // stream_* builders push rows through a RowSink in evaluation batches,
@@ -24,6 +25,14 @@
 
 namespace bat::core {
 
+/// The paper's §V sweep policy, defined once for every layer: a space of
+/// at most kExhaustiveLimit configurations (full cardinality, the cheap
+/// upper bound) is swept exhaustively; a larger one by kSweepSamples
+/// distinct valid configurations drawn with kSweepSeed.
+inline constexpr std::uint64_t kSweepSeed = 0xBA7BA7ULL;
+inline constexpr std::size_t kSweepSamples = 10'000;
+inline constexpr ConfigIndex kExhaustiveLimit = 100'000;
+
 class Runner {
  public:
   /// Receives one evaluated row at a time, in deterministic order.
@@ -46,14 +55,12 @@ class Runner {
                                            std::size_t samples,
                                            std::uint64_t seed);
 
-  /// Paper §V policy: exhaustive when the constrained space has at most
-  /// `exhaustive_limit` configurations, otherwise `samples` random ones.
+  /// Paper §V policy: exhaustive when the space has at most
+  /// kExhaustiveLimit configurations, otherwise `samples` random ones.
   [[nodiscard]] static Dataset run_default(const Benchmark& benchmark,
                                            DeviceIndex device,
-                                           std::uint64_t seed = 0xBA7BA7ULL,
-                                           std::size_t samples = 10'000,
-                                           std::uint64_t exhaustive_limit =
-                                               100'000);
+                                           std::uint64_t seed = kSweepSeed,
+                                           std::size_t samples = kSweepSamples);
 
   /// Streaming forms of the builders above: identical rows in identical
   /// order, but pushed through `sink` batch by batch with bounded
@@ -71,9 +78,8 @@ class Runner {
                                     std::size_t batch_rows = kStreamBatchRows);
   static std::size_t stream_default(const Benchmark& benchmark,
                                     DeviceIndex device, const RowSink& sink,
-                                    std::uint64_t seed = 0xBA7BA7ULL,
-                                    std::size_t samples = 10'000,
-                                    std::uint64_t exhaustive_limit = 100'000,
+                                    std::uint64_t seed = kSweepSeed,
+                                    std::size_t samples = kSweepSamples,
                                     std::size_t batch_rows = kStreamBatchRows);
 
  private:

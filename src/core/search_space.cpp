@@ -100,16 +100,4 @@ ConfigIndex SearchSpace::random_valid_index(common::Rng& rng) const {
   return compiled().random_valid_index(rng);
 }
 
-Config SearchSpace::random_valid_config(common::Rng& rng) const {
-  return space_.config_at(random_valid_index(rng));
-}
-
-std::vector<Config> SearchSpace::valid_neighbors(const Config& config) const {
-  std::vector<Config> out;
-  space_.for_each_neighbor(config, [&](const Config& n) {
-    if (constraints_.satisfied(n)) out.push_back(n);
-  });
-  return out;
-}
-
 }  // namespace bat::core

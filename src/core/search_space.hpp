@@ -92,9 +92,6 @@ class SearchSpace {
   [[nodiscard]] bool is_valid(const Config& config) const {
     return space_.contains(config) && constraints_.satisfied(config);
   }
-  [[nodiscard]] bool is_valid_index(ConfigIndex index) const {
-    return constraints_.satisfied(space_.config_at(index));
-  }
 
   /// Count of constraint-satisfying configurations: O(1) off the
   /// compiled valid set for enumerable spaces, parallel sweep otherwise.
@@ -117,17 +114,6 @@ class SearchSpace {
   /// std::runtime_error when no valid configuration exists (or rejection
   /// exhausts its attempt bound).
   [[nodiscard]] ConfigIndex random_valid_index(common::Rng& rng) const;
-
-  /// One uniformly random valid configuration (decoded form of
-  /// random_valid_index).
-  [[nodiscard]] Config random_valid_config(common::Rng& rng) const;
-
-  /// Valid Hamming-1 neighbors of a configuration, materialized as value
-  /// vectors. Index-native callers use
-  /// compiled().for_each_valid_neighbor_index instead (no per-step
-  /// Config allocation); this form remains the reference for parity
-  /// tests and the seed benchmarks.
-  [[nodiscard]] std::vector<Config> valid_neighbors(const Config& config) const;
 
  private:
   [[nodiscard]] std::shared_ptr<const CompiledSpace> compiled_snapshot() const {

@@ -20,30 +20,27 @@ int getpid() { return 0; }  // serial suffix alone disambiguates in-process
 
 namespace bat::io {
 
-DatasetRepository::DatasetRepository(Options options)
-    : options_(std::move(options)) {}
+DatasetRepository::DatasetRepository(std::string cache_dir)
+    : cache_dir_(std::move(cache_dir)) {}
 
 DatasetRepository& DatasetRepository::global() {
   static DatasetRepository repository = [] {
-    Options options;
-    if (const char* dir = std::getenv("BAT_DATASET_DIR")) {
-      options.cache_dir = dir;
-    }
-    return DatasetRepository(options);
+    const char* dir = std::getenv("BAT_DATASET_DIR");
+    return DatasetRepository(dir != nullptr ? dir : "");
   }();
   return repository;
 }
 
 std::string DatasetRepository::archive_path(const Key& key,
                                             const char* extension) const {
-  return options_.cache_dir + "/" + key.first + "_" + key.second + extension;
+  return cache_dir_ + "/" + key.first + "_" + key.second + extension;
 }
 
 std::shared_ptr<const core::Dataset> DatasetRepository::find_locked(
     const Key& key, std::unique_lock<std::mutex>& lock) {
   const auto it = datasets_.find(key);
   if (it != datasets_.end()) return it->second;
-  if (options_.cache_dir.empty()) return nullptr;
+  if (cache_dir_.empty()) return nullptr;
 
   // Disk probes and parsing run unlocked; first insert wins. A
   // malformed archive (e.g. a sweep killed before finalize under an
@@ -77,8 +74,7 @@ std::shared_ptr<const core::Dataset> DatasetRepository::find(
 }
 
 std::shared_ptr<const core::Dataset> DatasetRepository::get(
-    const core::Benchmark& bench, core::DeviceIndex device,
-    std::size_t samples) {
+    const core::Benchmark& bench, core::DeviceIndex device) {
   const Key key{bench.name(), bench.device_name(device)};
   {
     std::unique_lock lock(mutex_);
@@ -86,13 +82,12 @@ std::shared_ptr<const core::Dataset> DatasetRepository::get(
   }
 
   // Sweep outside the lock (slow); persist, then publish first-wins.
-  const std::size_t n = samples != 0 ? samples : options_.samples;
-  auto swept = std::make_shared<core::Dataset>(core::Runner::run_default(
-      bench, device, options_.seed, n, options_.exhaustive_limit));
-  if (!options_.cache_dir.empty() && options_.persist_computed) {
+  auto swept =
+      std::make_shared<core::Dataset>(core::Runner::run_default(bench, device));
+  if (!cache_dir_.empty()) {
     const auto path = archive_path(key, ".bin");
     try {
-      std::filesystem::create_directories(options_.cache_dir);
+      std::filesystem::create_directories(cache_dir_);
       // The journal's tmp + fsync + rename discipline: a killed process
       // never leaves a partial archive under the final name, concurrent
       // sweeps of the same key (both deterministic, so either result is
@@ -104,8 +99,7 @@ std::shared_ptr<const core::Dataset> DatasetRepository::get(
       const auto temp = path + ".tmp" +
                         std::to_string(temp_serial.fetch_add(1)) + "-" +
                         std::to_string(::getpid());
-      save_dataset(temp, *swept, DatasetFormat::kBinary,
-                   options_.writer_chunk_rows);
+      save_dataset(temp, *swept, DatasetFormat::kBinary);
       fsync_file(temp);
       std::filesystem::rename(temp, path);
       fsync_parent_dir(path);
@@ -129,7 +123,7 @@ std::shared_ptr<const DatasetView> DatasetRepository::view(
   if (datasets_.count(key) != 0) return nullptr;  // memory is authoritative
   const auto it = views_.find(key);
   if (it != views_.end()) return it->second;
-  if (options_.cache_dir.empty()) return nullptr;
+  if (cache_dir_.empty()) return nullptr;
   const auto path = archive_path(key, ".bin");
   lock.unlock();
   if (!std::filesystem::exists(path)) return nullptr;

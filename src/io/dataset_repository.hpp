@@ -4,9 +4,10 @@
 // Resolution order for get():
 //   1. in-memory entries (registered via put() or previously resolved);
 //   2. the disk cache directory: <benchmark>_<device>.bin, then .csv;
-//   3. a Runner sweep under the paper's §V policy (exhaustive for small
-//      spaces, sampled otherwise), persisted back to the cache dir as a
-//      binary archive when one is configured.
+//   3. a Runner sweep under the paper's §V policy (core::Runner::
+//      run_default: exhaustive for small spaces, sampled otherwise),
+//      persisted back to the cache dir as a binary archive when one is
+//      configured.
 //
 // find() stops after (2) — callers with their own sweep policy (the
 // TuningService refuses to sweep non-enumerable spaces for replay) use
@@ -33,24 +34,12 @@
 
 namespace bat::io {
 
-struct RepositoryOptions {
-  /// Directory scanned for <benchmark>_<device>.{bin,csv} archives
-  /// and receiving persisted sweeps; "" disables disk entirely.
-  std::string cache_dir;
-  /// Persist computed sweeps to cache_dir as binary archives.
-  bool persist_computed = true;
-  /// Paper §V sweep policy used when a dataset must be computed.
-  std::uint64_t seed = 0xBA7BA7ULL;
-  std::size_t samples = 10'000;
-  std::uint64_t exhaustive_limit = 100'000;
-  std::size_t writer_chunk_rows = kDefaultChunkRows;
-};
-
 class DatasetRepository {
  public:
-  using Options = RepositoryOptions;
-
-  explicit DatasetRepository(Options options = {});
+  /// `cache_dir` is scanned for <benchmark>_<device>.{bin,csv} archives
+  /// and receives persisted sweeps; "" (the default) disables disk
+  /// entirely.
+  explicit DatasetRepository(std::string cache_dir = {});
 
   /// Process-wide repository: cache_dir comes from the BAT_DATASET_DIR
   /// environment variable (unset/empty = memory-only). The figure
@@ -62,11 +51,9 @@ class DatasetRepository {
       const std::string& benchmark, const std::string& device);
 
   /// find(), falling back to a Runner sweep of `bench` on `device`
-  /// under this repository's policy (`samples` overrides the
-  /// configured sample count when nonzero).
+  /// under the paper's §V policy.
   [[nodiscard]] std::shared_ptr<const core::Dataset> get(
-      const core::Benchmark& bench, core::DeviceIndex device,
-      std::size_t samples = 0);
+      const core::Benchmark& bench, core::DeviceIndex device);
 
   /// The mmap view of the key's binary archive, or nullptr when the
   /// key is served from memory (registered datasets are authoritative)
@@ -86,8 +73,6 @@ class DatasetRepository {
   /// Drops every cached entry/view (disk archives are untouched).
   void clear();
 
-  [[nodiscard]] const Options& options() const noexcept { return options_; }
-
  private:
   using Key = std::pair<std::string, std::string>;
 
@@ -96,7 +81,7 @@ class DatasetRepository {
   [[nodiscard]] std::shared_ptr<const core::Dataset> find_locked(
       const Key& key, std::unique_lock<std::mutex>& lock);
 
-  Options options_;
+  std::string cache_dir_;
   std::mutex mutex_;
   std::map<Key, std::shared_ptr<const core::Dataset>> datasets_;
   std::map<Key, std::shared_ptr<const DatasetView>> views_;

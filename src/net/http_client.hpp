@@ -30,10 +30,6 @@ namespace bat::net {
 struct HostPort {
   std::string host;  // IPv4 literal, e.g. "127.0.0.1"
   std::uint16_t port = 0;
-
-  [[nodiscard]] std::string to_string() const {
-    return host + ":" + std::to_string(port);
-  }
 };
 
 /// Parses "host:port"; throws std::invalid_argument on malformed input

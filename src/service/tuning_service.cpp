@@ -13,18 +13,6 @@
 namespace bat::service {
 
 namespace {
-/// Replay sessions that have to sweep the space themselves are only
-/// sound (and affordable) on exhaustively enumerable spaces; matches
-/// bench::kExhaustiveLimit.
-constexpr std::uint64_t kReplaySweepLimit = 100'000;
-
-io::RepositoryOptions repository_options(const ServiceOptions& options) {
-  io::RepositoryOptions repo;
-  repo.cache_dir = options.dataset_dir;
-  repo.exhaustive_limit = kReplaySweepLimit;
-  return repo;
-}
-
 /// A tracked session's result as GET /v1/sessions/<id> serves it,
 /// encoded once. Shrunk to fit: every retained session holds its bytes,
 /// so the dump's growth slack would be paid per session.
@@ -37,7 +25,7 @@ std::shared_ptr<const std::string> encode(const SessionResult& result) {
 
 TuningService::TuningService(ServiceOptions options)
     : options_(options),
-      repo_(repository_options(options)),
+      repo_(options.dataset_dir),
       pool_(options.workers) {
   // queue_capacity = 0 would make every submit() block forever on the
   // backlog predicate; treat it as "minimal backlog", not a deadlock.
@@ -442,7 +430,10 @@ void TuningService::build_workload(const SessionSpec& spec,
     } else {
       auto dataset = repo_.find(spec.kernel, device_name);
       if (!dataset) {
-        if (workload->benchmark->space().cardinality() > kReplaySweepLimit) {
+        // Replay sessions that have to sweep the space themselves are
+        // only sound (and affordable) on exhaustively swept spaces.
+        if (workload->benchmark->space().cardinality() >
+            core::kExhaustiveLimit) {
           throw std::invalid_argument(
               spec.kernel +
               ": replay sessions need a registered dataset (space too large "

@@ -1,55 +1,42 @@
 #include "tuners/de.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 namespace bat::tuners {
 
 namespace {
 
-core::Config snap(const core::ParamSpace& params,
-                  const std::vector<double>& position) {
-  core::Config config(params.num_params());
-  for (std::size_t p = 0; p < config.size(); ++p) {
-    const auto hi = static_cast<double>(params.param(p).cardinality() - 1);
-    const double clamped = std::clamp(position[p], 0.0, hi);
-    config[p] = params.param(p).value_at(
-        static_cast<std::size_t>(std::llround(clamped)));
-  }
-  return config;
-}
+constexpr std::size_t kPopulation = 20;
+static_assert(kPopulation >= 4, "each member needs three distinct partners");
+constexpr double kWeight = 0.6;         // F
+constexpr double kCrossoverRate = 0.8;  // CR
 
 }  // namespace
 
 void DifferentialEvolution::start(const core::SearchSpace& space,
                                   common::Rng& rng) {
-  space_ = &space;
-  const auto& params = space.params();
-  const std::size_t dims = params.num_params();
-  const std::size_t n = std::max<std::size_t>(4, options_.population);
+  compiled_ = &space.compiled();
+  const std::size_t dims = compiled_->num_params();
 
-  population_.assign(n, std::vector<double>(dims));
-  objective_.assign(n, std::numeric_limits<double>::infinity());
+  population_.assign(kPopulation, std::vector<double>(dims));
+  objective_.assign(kPopulation, std::numeric_limits<double>::infinity());
   trials_.clear();
   slots_.clear();
   seeded_ = false;
 
-  for (std::size_t i = 0; i < n; ++i) {
-    const core::Config seed_config = space.random_valid_config(rng);
-    for (std::size_t p = 0; p < dims; ++p) {
-      population_[i][p] =
-          static_cast<double>(params.param(p).index_of(seed_config[p]));
-    }
+  std::vector<std::uint32_t> digits;
+  for (auto& member : population_) {
+    compiled_->decode_digits(compiled_->random_valid_index(rng), digits);
+    std::copy(digits.begin(), digits.end(), member.begin());
   }
 }
 
-std::vector<core::Config> DifferentialEvolution::breed(common::Rng& rng) {
-  const auto& params = space_->params();
-  const std::size_t dims = params.num_params();
+std::vector<core::ConfigIndex> DifferentialEvolution::breed(common::Rng& rng) {
+  const std::size_t dims = compiled_->num_params();
   const std::size_t n = population_.size();
 
-  std::vector<core::Config> batch;
+  std::vector<core::ConfigIndex> batch;
   trials_.assign(n, std::vector<double>(dims));
   slots_.assign(n, kInvalidSlot);
 
@@ -63,17 +50,17 @@ std::vector<core::Config> DifferentialEvolution::breed(common::Rng& rng) {
     auto& trial = trials_[i];
     const std::size_t forced = rng.next_below(dims);
     for (std::size_t p = 0; p < dims; ++p) {
-      if (p == forced || rng.uniform() < options_.crossover_rate) {
+      if (p == forced || rng.uniform() < kCrossoverRate) {
         trial[p] = population_[a][p] +
-                   options_.weight * (population_[b][p] - population_[c][p]);
+                   kWeight * (population_[b][p] - population_[c][p]);
       } else {
         trial[p] = population_[i][p];
       }
     }
-    core::Config config = snap(params, trial);
-    if (space_->constraints().satisfied(config)) {
+    const core::ConfigIndex index = snap(*compiled_, trial);
+    if (compiled_->is_valid_index(index)) {
       slots_[i] = batch.size();
-      batch.push_back(std::move(config));
+      batch.push_back(index);
     }
   }
   return batch;
@@ -91,18 +78,17 @@ void DifferentialEvolution::select(const std::vector<double>& objectives) {
   }
 }
 
-std::vector<core::Config> DifferentialEvolution::ask(std::size_t,
-                                                     common::Rng& rng) {
+std::vector<core::ConfigIndex> DifferentialEvolution::ask(std::size_t,
+                                                          common::Rng& rng) {
   if (!seeded_) {
     // Evaluate the initial population (valid by construction).
     seeded_ = true;
-    const auto& params = space_->params();
-    std::vector<core::Config> batch;
+    std::vector<core::ConfigIndex> batch;
     batch.reserve(population_.size());
     slots_.assign(population_.size(), kInvalidSlot);
     for (std::size_t i = 0; i < population_.size(); ++i) {
       slots_[i] = batch.size();
-      batch.push_back(snap(params, population_[i]));
+      batch.push_back(snap(*compiled_, population_[i]));
     }
     trials_ = population_;  // selection keeps them (obj <= +inf)
     return batch;
@@ -119,7 +105,7 @@ std::vector<core::Config> DifferentialEvolution::ask(std::size_t,
   return batch;
 }
 
-void DifferentialEvolution::tell(const std::vector<core::Config>&,
+void DifferentialEvolution::tell(const std::vector<core::ConfigIndex>&,
                                  const std::vector<double>& objectives,
                                  common::Rng&) {
   select(objectives);

@@ -1,4 +1,6 @@
-// Differential evolution (DE/rand/1/bin) on the value-index embedding.
+// Differential evolution (DE/rand/1/bin) on the value-index embedding:
+// vectors live in the continuous per-parameter digit space and snap to
+// the nearest configuration for evaluation (tuners::snap).
 // Batched (synchronous DE): every ask() builds one trial per population
 // member from the previous generation's vectors, the whole trial set is
 // evaluated through the backend in one parallel batch, and selection
@@ -14,15 +16,6 @@ namespace bat::tuners {
 
 class DifferentialEvolution final : public Tuner {
  public:
-  struct Options {
-    std::size_t population = 20;
-    double weight = 0.6;          // F
-    double crossover_rate = 0.8;  // CR
-  };
-
-  DifferentialEvolution() : options_(Options{}) {}
-  explicit DifferentialEvolution(Options options) : options_(options) {}
-
   [[nodiscard]] const std::string& name() const override {
     static const std::string kName = "de";
     return kName;
@@ -32,9 +25,9 @@ class DifferentialEvolution final : public Tuner {
 
  protected:
   void start(const core::SearchSpace& space, common::Rng& rng) override;
-  std::vector<core::Config> ask(std::size_t remaining,
-                                common::Rng& rng) override;
-  void tell(const std::vector<core::Config>& configs,
+  std::vector<core::ConfigIndex> ask(std::size_t remaining,
+                                     common::Rng& rng) override;
+  void tell(const std::vector<core::ConfigIndex>& batch,
             const std::vector<double>& objectives, common::Rng& rng) override;
 
  private:
@@ -42,11 +35,10 @@ class DifferentialEvolution final : public Tuner {
 
   /// Breeds one generation of trial vectors; fills trials_/slots_ and
   /// returns the constraint-valid configurations to evaluate.
-  std::vector<core::Config> breed(common::Rng& rng);
+  std::vector<core::ConfigIndex> breed(common::Rng& rng);
   void select(const std::vector<double>& objectives);
 
-  Options options_;
-  const core::SearchSpace* space_ = nullptr;
+  const core::CompiledSpace* compiled_ = nullptr;
   std::vector<std::vector<double>> population_;
   std::vector<double> objective_;
   std::vector<std::vector<double>> trials_;

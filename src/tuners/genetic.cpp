@@ -4,25 +4,35 @@
 
 namespace bat::tuners {
 
+namespace {
+
+constexpr std::size_t kPopulation = 24;
+constexpr double kCrossoverRate = 0.9;
+constexpr double kMutationRate = 0.1;  // per parameter
+constexpr std::size_t kTournament = 3;
+constexpr std::size_t kElites = 2;
+
+}  // namespace
+
 void GeneticAlgorithm::start(const core::SearchSpace& space, common::Rng&) {
-  space_ = &space;
+  compiled_ = &space.compiled();
   population_.clear();
   elites_.clear();
 }
 
-std::vector<core::Config> GeneticAlgorithm::ask(std::size_t,
-                                                common::Rng& rng) {
-  std::vector<core::Config> batch;
+std::vector<core::ConfigIndex> GeneticAlgorithm::ask(std::size_t,
+                                                     common::Rng& rng) {
+  const auto& compiled = *compiled_;
+  std::vector<core::ConfigIndex> batch;
 
   if (population_.empty()) {  // initial generation
-    batch.reserve(options_.population);
-    for (std::size_t i = 0; i < options_.population; ++i) {
-      batch.push_back(space_->random_valid_config(rng));
+    batch.reserve(kPopulation);
+    for (std::size_t i = 0; i < kPopulation; ++i) {
+      batch.push_back(compiled.random_valid_index(rng));
     }
     return batch;
   }
 
-  const auto& params = space_->params();
   std::sort(population_.begin(), population_.end(),
             [](const Individual& a, const Individual& b) {
               return a.objective < b.objective;
@@ -30,11 +40,11 @@ std::vector<core::Config> GeneticAlgorithm::ask(std::size_t,
   elites_.assign(population_.begin(),
                  population_.begin() +
                      static_cast<std::ptrdiff_t>(
-                         std::min(options_.elites, population_.size())));
+                         std::min(kElites, population_.size())));
 
   const auto tournament = [&]() -> const Individual& {
     const Individual* best = nullptr;
-    for (std::size_t i = 0; i < options_.tournament; ++i) {
+    for (std::size_t i = 0; i < kTournament; ++i) {
       const auto& contender =
           population_[static_cast<std::size_t>(
               rng.next_below(population_.size()))];
@@ -45,39 +55,42 @@ std::vector<core::Config> GeneticAlgorithm::ask(std::size_t,
     return *best;
   };
 
-  batch.reserve(options_.population - elites_.size());
-  while (batch.size() + elites_.size() < options_.population) {
+  batch.reserve(kPopulation - elites_.size());
+  while (batch.size() + elites_.size() < kPopulation) {
     const Individual& a = tournament();
     const Individual& b = tournament();
-    core::Config child = a.config;
-    if (rng.uniform() < options_.crossover_rate) {
-      for (std::size_t p = 0; p < child.size(); ++p) {
-        if (rng.bernoulli(0.5)) child[p] = b.config[p];
+    compiled.decode_digits(a.index, child_);
+    if (rng.uniform() < kCrossoverRate) {
+      compiled.decode_digits(b.index, other_);
+      for (std::size_t p = 0; p < child_.size(); ++p) {
+        if (rng.bernoulli(0.5)) child_[p] = other_[p];
       }
     }
-    for (std::size_t p = 0; p < child.size(); ++p) {
-      if (rng.uniform() < options_.mutation_rate) {
-        child[p] = rng.pick(params.param(p).values());
+    for (std::size_t p = 0; p < child_.size(); ++p) {
+      if (rng.uniform() < kMutationRate) {
+        child_[p] =
+            static_cast<std::uint32_t>(rng.next_below(compiled.radix(p)));
       }
     }
-    if (!space_->constraints().satisfied(child)) {
+    core::ConfigIndex child = compiled.index_of_digits(child_);
+    if (!compiled.is_valid_index(child)) {
       // Repair by resampling a fresh valid configuration: simple and
       // unbiased, mirroring Kernel Tuner's GA handling of constraints.
-      child = space_->random_valid_config(rng);
+      child = compiled.random_valid_index(rng);
     }
-    batch.push_back(std::move(child));
+    batch.push_back(child);
   }
   return batch;
 }
 
-void GeneticAlgorithm::tell(const std::vector<core::Config>& configs,
+void GeneticAlgorithm::tell(const std::vector<core::ConfigIndex>& batch,
                             const std::vector<double>& objectives,
                             common::Rng&) {
   std::vector<Individual> next = std::move(elites_);
   elites_.clear();
-  next.reserve(next.size() + configs.size());
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    next.push_back(Individual{configs[i], objectives[i]});
+  next.reserve(next.size() + batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    next.push_back(Individual{batch[i], objectives[i]});
   }
   population_ = std::move(next);
 }

@@ -1,12 +1,16 @@
 // Generational genetic algorithm: tournament selection, uniform
-// crossover, per-parameter mutation, elitism. Batched: every ask()
-// breeds a full generation of children whose genomes depend only on the
-// previous (already-evaluated) population, so the whole generation is
-// evaluated through the backend in one parallel batch.
+// crossover, per-parameter mutation, elitism. Genomes are the compiled
+// space's mixed-radix digits: crossover swaps digits, mutation redraws
+// one. Batched: every ask() breeds a full generation of children whose
+// genomes depend only on the previous (already-evaluated) population,
+// so the whole generation is evaluated through the backend in one
+// parallel batch.
 //
 // Single-run mutable state: one instance per session, driven by one
 // thread (see the ownership notes in tuners/tuner.hpp).
 #pragma once
+
+#include <cstdint>
 
 #include "tuners/tuner.hpp"
 
@@ -14,17 +18,6 @@ namespace bat::tuners {
 
 class GeneticAlgorithm final : public Tuner {
  public:
-  struct Options {
-    std::size_t population = 24;
-    double crossover_rate = 0.9;
-    double mutation_rate = 0.1;  // per parameter
-    std::size_t tournament = 3;
-    std::size_t elites = 2;
-  };
-
-  GeneticAlgorithm() : options_(Options{}) {}
-  explicit GeneticAlgorithm(Options options) : options_(options) {}
-
   [[nodiscard]] const std::string& name() const override {
     static const std::string kName = "genetic";
     return kName;
@@ -34,21 +27,22 @@ class GeneticAlgorithm final : public Tuner {
 
  protected:
   void start(const core::SearchSpace& space, common::Rng& rng) override;
-  std::vector<core::Config> ask(std::size_t remaining,
-                                common::Rng& rng) override;
-  void tell(const std::vector<core::Config>& configs,
+  std::vector<core::ConfigIndex> ask(std::size_t remaining,
+                                     common::Rng& rng) override;
+  void tell(const std::vector<core::ConfigIndex>& batch,
             const std::vector<double>& objectives, common::Rng& rng) override;
 
  private:
   struct Individual {
-    core::Config config;
+    core::ConfigIndex index;
     double objective = 0.0;
   };
 
-  Options options_;
-  const core::SearchSpace* space_ = nullptr;
+  const core::CompiledSpace* compiled_ = nullptr;
   std::vector<Individual> population_;  // previous generation, evaluated
   std::vector<Individual> elites_;     // carried over, objective known
+  std::vector<std::uint32_t> child_;   // digit buffers, reused per child
+  std::vector<std::uint32_t> other_;
 };
 
 }  // namespace bat::tuners

@@ -8,6 +8,9 @@ namespace bat::tuners {
 
 namespace {
 
+constexpr std::size_t kPerturbationStrength = 2;  // parameters re-randomized
+constexpr std::size_t kMaxNoImprove = 4;  // perturbations before restart
+
 /// Shared per-run buffers so descents allocate nothing per step.
 struct IlsScratch {
   core::NeighborScratch neighbor;
@@ -61,11 +64,11 @@ void IteratedLocalSearch::optimize(core::CachingEvaluator& evaluator,
         evaluator.evaluate_index(start));
 
     std::size_t no_improve = 0;
-    while (no_improve < options_.max_no_improve) {
+    while (no_improve < kMaxNoImprove) {
       // Perturb: re-randomize a few digits of the incumbent.
       compiled.decode_digits(incumbent, scratch.digits);
       const std::size_t k =
-          std::min(options_.perturbation_strength, scratch.digits.size());
+          std::min(kPerturbationStrength, scratch.digits.size());
       const auto picks = rng.sample_indices(scratch.digits.size(), k);
       for (const auto p : picks) {
         scratch.digits[p] =

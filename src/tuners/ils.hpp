@@ -13,14 +13,6 @@ namespace bat::tuners {
 
 class IteratedLocalSearch final : public Tuner {
  public:
-  struct Options {
-    std::size_t perturbation_strength = 2;  // parameters re-randomized
-    std::size_t max_no_improve = 4;         // perturbations before restart
-  };
-
-  IteratedLocalSearch() : options_(Options{}) {}
-  explicit IteratedLocalSearch(Options options) : options_(options) {}
-
   [[nodiscard]] const std::string& name() const override {
     static const std::string kName = "ils";
     return kName;
@@ -28,9 +20,6 @@ class IteratedLocalSearch final : public Tuner {
 
  protected:
   void optimize(core::CachingEvaluator& evaluator, common::Rng& rng) override;
-
- private:
-  Options options_;
 };
 
 }  // namespace bat::tuners

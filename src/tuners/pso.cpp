@@ -1,48 +1,37 @@
 #include "tuners/pso.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <limits>
 
 namespace bat::tuners {
 
 namespace {
 
-/// Snaps continuous per-parameter index positions to a configuration.
-core::Config snap(const core::ParamSpace& params,
-                  const std::vector<double>& position) {
-  core::Config config(params.num_params());
-  for (std::size_t p = 0; p < config.size(); ++p) {
-    const auto hi = static_cast<double>(params.param(p).cardinality() - 1);
-    const double clamped = std::clamp(position[p], 0.0, hi);
-    config[p] = params.param(p).value_at(
-        static_cast<std::size_t>(std::llround(clamped)));
-  }
-  return config;
-}
+constexpr std::size_t kParticles = 16;
+constexpr double kInertia = 0.7;
+constexpr double kCognitive = 1.5;
+constexpr double kSocial = 1.5;
 
 }  // namespace
 
 void ParticleSwarm::start(const core::SearchSpace& space, common::Rng& rng) {
-  space_ = &space;
-  const auto& params = space.params();
-  const std::size_t dims = params.num_params();
+  compiled_ = &space.compiled();
+  const std::size_t dims = compiled_->num_params();
 
-  swarm_.assign(options_.particles, Particle{});
+  swarm_.assign(kParticles, Particle{});
   global_best_position_.assign(dims, 0.0);
   global_best_ = std::numeric_limits<double>::infinity();
   slots_.clear();
   seeded_ = false;
 
+  std::vector<std::uint32_t> digits;
   for (auto& particle : swarm_) {
     particle.position.resize(dims);
     particle.velocity.resize(dims);
     particle.best_objective = std::numeric_limits<double>::infinity();
-    const core::Config seed_config = space.random_valid_config(rng);
+    compiled_->decode_digits(compiled_->random_valid_index(rng), digits);
     for (std::size_t p = 0; p < dims; ++p) {
-      particle.position[p] =
-          static_cast<double>(params.param(p).index_of(seed_config[p]));
-      const auto span = static_cast<double>(params.param(p).cardinality());
+      particle.position[p] = static_cast<double>(digits[p]);
+      const auto span = static_cast<double>(compiled_->radix(p));
       particle.velocity[p] = rng.uniform(-span * 0.25, span * 0.25);
     }
     particle.best_position = particle.position;
@@ -50,37 +39,35 @@ void ParticleSwarm::start(const core::SearchSpace& space, common::Rng& rng) {
 }
 
 void ParticleSwarm::move_swarm(common::Rng& rng) {
-  const std::size_t dims = space_->params().num_params();
+  const std::size_t dims = compiled_->num_params();
   for (auto& particle : swarm_) {
     for (std::size_t p = 0; p < dims; ++p) {
       const double r1 = rng.uniform();
       const double r2 = rng.uniform();
       particle.velocity[p] =
-          options_.inertia * particle.velocity[p] +
-          options_.cognitive * r1 *
-              (particle.best_position[p] - particle.position[p]) +
-          options_.social * r2 *
-              (global_best_position_[p] - particle.position[p]);
+          kInertia * particle.velocity[p] +
+          kCognitive * r1 * (particle.best_position[p] - particle.position[p]) +
+          kSocial * r2 * (global_best_position_[p] - particle.position[p]);
       particle.position[p] += particle.velocity[p];
     }
   }
 }
 
-std::vector<core::Config> ParticleSwarm::snap_swarm() {
-  const auto& params = space_->params();
-  std::vector<core::Config> batch;
+std::vector<core::ConfigIndex> ParticleSwarm::snap_swarm() {
+  std::vector<core::ConfigIndex> batch;
   slots_.assign(swarm_.size(), kInvalidSlot);
   for (std::size_t i = 0; i < swarm_.size(); ++i) {
-    core::Config config = snap(params, swarm_[i].position);
-    if (space_->constraints().satisfied(config)) {
+    const core::ConfigIndex index = snap(*compiled_, swarm_[i].position);
+    if (compiled_->is_valid_index(index)) {
       slots_[i] = batch.size();
-      batch.push_back(std::move(config));
+      batch.push_back(index);
     }
   }
   return batch;
 }
 
-std::vector<core::Config> ParticleSwarm::ask(std::size_t, common::Rng& rng) {
+std::vector<core::ConfigIndex> ParticleSwarm::ask(std::size_t,
+                                                  common::Rng& rng) {
   if (seeded_) {
     move_swarm(rng);
   } else {
@@ -98,7 +85,7 @@ std::vector<core::Config> ParticleSwarm::ask(std::size_t, common::Rng& rng) {
   return batch;
 }
 
-void ParticleSwarm::tell(const std::vector<core::Config>&,
+void ParticleSwarm::tell(const std::vector<core::ConfigIndex>&,
                          const std::vector<double>& objectives,
                          common::Rng&) {
   for (std::size_t i = 0; i < swarm_.size(); ++i) {

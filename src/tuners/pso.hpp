@@ -1,9 +1,9 @@
 // Particle swarm optimization on the value-index embedding: particles
-// move in the continuous per-parameter index space and snap to the
-// nearest legal value for evaluation. Batched (synchronous PSO): every
-// ask() moves the whole swarm and the generation is evaluated through
-// the backend in one parallel batch; personal/global bests update in
-// tell().
+// move in the continuous per-parameter digit space and snap to the
+// nearest configuration for evaluation (tuners::snap). Batched
+// (synchronous PSO): every ask() moves the whole swarm and the
+// generation is evaluated through the backend in one parallel batch;
+// personal/global bests update in tell().
 //
 // Single-run mutable state: one instance per session, driven by one
 // thread (see the ownership notes in tuners/tuner.hpp).
@@ -15,16 +15,6 @@ namespace bat::tuners {
 
 class ParticleSwarm final : public Tuner {
  public:
-  struct Options {
-    std::size_t particles = 16;
-    double inertia = 0.7;
-    double cognitive = 1.5;
-    double social = 1.5;
-  };
-
-  ParticleSwarm() : options_(Options{}) {}
-  explicit ParticleSwarm(Options options) : options_(options) {}
-
   [[nodiscard]] const std::string& name() const override {
     static const std::string kName = "pso";
     return kName;
@@ -34,9 +24,9 @@ class ParticleSwarm final : public Tuner {
 
  protected:
   void start(const core::SearchSpace& space, common::Rng& rng) override;
-  std::vector<core::Config> ask(std::size_t remaining,
-                                common::Rng& rng) override;
-  void tell(const std::vector<core::Config>& configs,
+  std::vector<core::ConfigIndex> ask(std::size_t remaining,
+                                     common::Rng& rng) override;
+  void tell(const std::vector<core::ConfigIndex>& batch,
             const std::vector<double>& objectives, common::Rng& rng) override;
 
  private:
@@ -52,10 +42,9 @@ class ParticleSwarm final : public Tuner {
   void move_swarm(common::Rng& rng);
   /// Snaps every particle, fills slots_ (kInvalidSlot for constraint
   /// violations) and returns the valid configurations to evaluate.
-  std::vector<core::Config> snap_swarm();
+  std::vector<core::ConfigIndex> snap_swarm();
 
-  Options options_;
-  const core::SearchSpace* space_ = nullptr;
+  const core::CompiledSpace* compiled_ = nullptr;
   std::vector<Particle> swarm_;
   std::vector<double> global_best_position_;
   double global_best_ = 0.0;

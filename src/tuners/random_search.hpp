@@ -14,13 +14,6 @@ namespace bat::tuners {
 
 class RandomSearch final : public Tuner {
  public:
-  struct Options {
-    std::size_t batch = 64;  // samples proposed per ask()
-  };
-
-  RandomSearch() : options_(Options{}) {}
-  explicit RandomSearch(Options options) : options_(options) {}
-
   [[nodiscard]] const std::string& name() const override {
     static const std::string kName = "random";
     return kName;
@@ -30,12 +23,11 @@ class RandomSearch final : public Tuner {
 
  protected:
   void start(const core::SearchSpace& space, common::Rng& rng) override;
-  std::vector<core::Config> ask(std::size_t remaining,
-                                common::Rng& rng) override;
+  std::vector<core::ConfigIndex> ask(std::size_t remaining,
+                                     common::Rng& rng) override;
 
  private:
-  Options options_;
-  const core::SearchSpace* space_ = nullptr;
+  const core::CompiledSpace* compiled_ = nullptr;
 };
 
 }  // namespace bat::tuners

@@ -6,6 +6,14 @@
 
 namespace bat::tuners {
 
+namespace {
+
+constexpr double kInitialTemperature = 1.0;  // relative to objective spread
+constexpr double kCooling = 0.98;            // per-step multiplier
+constexpr double kRestartTemperature = 1e-4;
+
+}  // namespace
+
 void SimulatedAnnealing::optimize(core::CachingEvaluator& evaluator,
                                   common::Rng& rng) {
   const auto& space = evaluator.space();
@@ -20,9 +28,9 @@ void SimulatedAnnealing::optimize(core::CachingEvaluator& evaluator,
     double scale = std::isfinite(current_obj) && current_obj > 0.0
                        ? current_obj
                        : 1.0;
-    double temperature = options_.initial_temperature;
+    double temperature = kInitialTemperature;
 
-    while (temperature > options_.restart_temperature) {
+    while (temperature > kRestartTemperature) {
       neighbors.clear();
       compiled.for_each_valid_neighbor_index(
           current, scratch,
@@ -38,7 +46,7 @@ void SimulatedAnnealing::optimize(core::CachingEvaluator& evaluator,
         current_obj = obj;
         if (std::isfinite(obj) && obj > 0.0) scale = obj;
       }
-      temperature *= options_.cooling;
+      temperature *= kCooling;
     }
   }
 }

@@ -11,15 +11,6 @@ namespace bat::tuners {
 
 class SimulatedAnnealing final : public Tuner {
  public:
-  struct Options {
-    double initial_temperature = 1.0;  // relative to objective spread
-    double cooling = 0.98;             // per-step multiplier
-    double restart_temperature = 1e-4;
-  };
-
-  SimulatedAnnealing() : options_(Options{}) {}
-  explicit SimulatedAnnealing(Options options) : options_(options) {}
-
   [[nodiscard]] const std::string& name() const override {
     static const std::string kName = "annealing";
     return kName;
@@ -27,9 +18,6 @@ class SimulatedAnnealing final : public Tuner {
 
  protected:
   void optimize(core::CachingEvaluator& evaluator, common::Rng& rng) override;
-
- private:
-  Options options_;
 };
 
 }  // namespace bat::tuners

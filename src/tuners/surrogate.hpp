@@ -13,16 +13,6 @@ namespace bat::tuners {
 
 class SurrogateTuner final : public Tuner {
  public:
-  struct Options {
-    std::size_t initial_random = 20;   // warm-up evaluations
-    std::size_t candidate_pool = 400;  // surrogate-screened candidates
-    std::size_t refit_every = 8;       // evaluations between refits
-    double explore_fraction = 0.15;    // epsilon
-  };
-
-  SurrogateTuner() : options_(Options{}) {}
-  explicit SurrogateTuner(Options options) : options_(options) {}
-
   [[nodiscard]] const std::string& name() const override {
     static const std::string kName = "surrogate";
     return kName;
@@ -30,9 +20,6 @@ class SurrogateTuner final : public Tuner {
 
  protected:
   void optimize(core::CachingEvaluator& evaluator, common::Rng& rng) override;
-
- private:
-  Options options_;
 };
 
 }  // namespace bat::tuners

@@ -1,5 +1,7 @@
 #include "tuners/tuner.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "common/contracts.hpp"
@@ -45,10 +47,25 @@ void Tuner::optimize(core::CachingEvaluator& evaluator, common::Rng& rng) {
 
 void Tuner::start(const core::SearchSpace&, common::Rng&) {}
 
-std::vector<core::Config> Tuner::ask(std::size_t, common::Rng&) { return {}; }
+std::vector<core::ConfigIndex> Tuner::ask(std::size_t, common::Rng&) {
+  return {};
+}
 
-void Tuner::tell(const std::vector<core::Config>&, const std::vector<double>&,
-                 common::Rng&) {}
+void Tuner::tell(const std::vector<core::ConfigIndex>&,
+                 const std::vector<double>&, common::Rng&) {}
+
+core::ConfigIndex snap(const core::CompiledSpace& compiled,
+                       const std::vector<double>& position) {
+  BAT_EXPECTS(position.size() == compiled.num_params());
+  core::ConfigIndex index = 0;
+  for (std::size_t p = 0; p < position.size(); ++p) {
+    const auto hi = static_cast<double>(compiled.radix(p) - 1);
+    const double clamped = std::clamp(position[p], 0.0, hi);
+    index += static_cast<core::ConfigIndex>(std::llround(clamped)) *
+             compiled.stride(p);
+  }
+  return index;
+}
 
 TuningRun run_tuner(Tuner& tuner, core::EvaluationBackend& backend,
                     std::size_t budget, std::uint64_t seed,

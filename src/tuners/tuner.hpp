@@ -3,14 +3,17 @@
 // A Tuner sees only a CachingEvaluator (objective + budget + trace) and
 // the search space behind it — exactly the contract the paper defines so
 // that Optuna/SMAC3/Kernel Tuner/KTT-style optimizers can drive any BAT
-// benchmark. Two driving styles coexist:
+// benchmark. Tuners speak ConfigIndex: they draw, step and recombine in
+// the compiled index/digit space (core/compiled_space.hpp) and decode
+// values only where they need them (the surrogate's feature rows). Two
+// driving styles coexist:
 //
 //   * exception-driven (default): override optimize() and call
-//     evaluator(config) until it throws BudgetExhausted, which run()
-//     treats as the stop signal.
+//     evaluator.evaluate_index(index) until it throws BudgetExhausted,
+//     which run() treats as the stop signal.
 //   * batched ask/tell: override batched() to return true plus
 //     start()/ask()/tell(). The framework then loops
-//         batch = ask(remaining, rng)
+//         batch = ask(remaining, rng)            // vector<ConfigIndex>
 //         objectives = evaluator.evaluate_batch(batch)
 //         tell(batch, objectives, rng)
 //     so population tuners (random, genetic, pso, de) evaluate whole
@@ -36,6 +39,7 @@
 
 #include "common/rng.hpp"
 #include "core/backend.hpp"
+#include "core/compiled_space.hpp"
 #include "core/evaluator.hpp"
 
 namespace bat::tuners {
@@ -68,14 +72,20 @@ class Tuner {
   /// is the number of distinct evaluations left in the budget (a hint:
   /// proposing more is allowed, the evaluator truncates at the
   /// boundary). An empty batch ends the run.
-  virtual std::vector<core::Config> ask(std::size_t remaining,
-                                        common::Rng& rng);
+  virtual std::vector<core::ConfigIndex> ask(std::size_t remaining,
+                                             common::Rng& rng);
 
   /// Receives the objectives for the batch returned by the previous
-  /// ask() (objectives[i] belongs to configs[i]).
-  virtual void tell(const std::vector<core::Config>& configs,
+  /// ask() (objectives[i] belongs to batch[i]).
+  virtual void tell(const std::vector<core::ConfigIndex>& batch,
                     const std::vector<double>& objectives, common::Rng& rng);
 };
+
+/// The configuration nearest a continuous per-parameter digit position
+/// (each coordinate clamped into [0, radix - 1] and rounded): how the
+/// continuous-space tuners (pso, de) turn a position into a candidate.
+[[nodiscard]] core::ConfigIndex snap(const core::CompiledSpace& compiled,
+                                     const std::vector<double>& position);
 
 /// Result of a full tuning run.
 struct TuningRun {

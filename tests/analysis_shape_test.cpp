@@ -17,7 +17,7 @@ namespace {
 core::Dataset dataset_for(const std::string& name, core::DeviceIndex d,
                           std::size_t samples = 6000) {
   const auto bench = kernels::make(name);
-  return core::Runner::run_default(*bench, d, 0xBA7BA7, samples, 100'000);
+  return core::Runner::run_default(*bench, d, core::kSweepSeed, samples);
 }
 
 TEST(PaperShapes, Fig1HotspotHasAboveTenXCluster) {

@@ -18,12 +18,10 @@ namespace {
 std::vector<ConfigIndex> sample_indices(const Benchmark& bench, std::size_t n,
                                         std::uint64_t seed) {
   common::Rng rng(seed);
-  const auto& params = bench.space().params();
   std::vector<ConfigIndex> out;
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(
-        params.index_of_config(bench.space().random_valid_config(rng)));
+    out.push_back(bench.space().random_valid_index(rng));
   }
   return out;
 }
@@ -37,14 +35,6 @@ std::vector<ConfigIndex> distinct_indices(const Benchmark& bench,
       out.push_back(index);
     }
   }
-  return out;
-}
-
-std::vector<Config> configs_at(const Benchmark& bench,
-                               const std::vector<ConfigIndex>& indices) {
-  std::vector<Config> out;
-  const auto& params = bench.space().params();
-  for (const auto i : indices) out.push_back(params.config_at(i));
   return out;
 }
 
@@ -129,14 +119,12 @@ TEST(CachingEvaluator, CacheHitsAreFree) {
   RecordingBackend backend(*bench);
   CachingEvaluator eval(backend, 10);
   const auto indices = sample_indices(*bench, 4, 4);
-  const auto configs = configs_at(*bench, indices);
 
-  (void)eval.evaluate_batch(configs);
+  (void)eval.evaluate_batch(indices);
   EXPECT_LE(eval.evaluations(), 4u);  // distinct only
   const std::size_t after_first = eval.evaluations();
   // All hits, whichever call asks: nothing is charged or sent.
-  (void)eval.evaluate_batch(configs);
-  for (const auto& config : configs) (void)eval(config);
+  (void)eval.evaluate_batch(indices);
   for (const auto index : indices) (void)eval.evaluate_index(index);
   EXPECT_EQ(eval.evaluations(), after_first);
   EXPECT_EQ(backend.batches.size(), 1u);
@@ -154,8 +142,8 @@ TEST(CachingEvaluator, OneConfigBatchesShareASpanAndLargerBatchesGetTheirOwn) {
     for (std::size_t i = 0; i < 3; ++i) {
       (void)eval.evaluate_index(indices[i]);
     }
-    (void)eval.evaluate_batch(configs_at(*bench, {indices[3], indices[4]}));
-    (void)eval(bench->space().params().config_at(indices[5]));
+    (void)eval.evaluate_batch(std::vector<ConfigIndex>{indices[3], indices[4]});
+    (void)eval.evaluate_index(indices[5]);
   }  // the evaluator's destruction closes the last run
   const auto spans = obs::trace_buffer().for_trace(id);
   ASSERT_EQ(spans.size(), 3u);
@@ -172,7 +160,7 @@ TEST(CachingEvaluator, DuplicatesWithinABatchChargeOnce) {
   CachingEvaluator eval(live, 10);
   const auto one = sample_indices(*bench, 1, 5);
   const auto results =
-      eval.evaluate_batch(configs_at(*bench, {one[0], one[0], one[0]}));
+      eval.evaluate_batch(std::vector<ConfigIndex>{one[0], one[0], one[0]});
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(eval.evaluations(), 1u);
   EXPECT_DOUBLE_EQ(results[0], results[2]);
@@ -187,8 +175,7 @@ TEST(CachingEvaluator, BudgetBoundaryIsExactForBatches) {
   CachingEvaluator eval(backend, 5);
   // A batch crossing the boundary sends the backend only the misses
   // that fit, records those entries, then throws.
-  EXPECT_THROW((void)eval.evaluate_batch(configs_at(
-                   *bench, {distinct.begin(), distinct.begin() + 8})),
+  EXPECT_THROW((void)eval.evaluate_batch(std::span(distinct).first(8)),
                BudgetExhausted);
   EXPECT_EQ(eval.evaluations(), 5u);
   EXPECT_TRUE(eval.exhausted());
@@ -212,8 +199,7 @@ TEST(CachingEvaluator, BatchExactlyFillingBudgetDoesNotThrow) {
 
   LiveBackend live(*bench, 0);
   CachingEvaluator eval(live, 5);
-  EXPECT_NO_THROW((void)eval.evaluate_batch(
-      configs_at(*bench, {distinct.begin(), distinct.begin() + 5})));
+  EXPECT_NO_THROW((void)eval.evaluate_batch(std::span(distinct).first(5)));
   EXPECT_EQ(eval.evaluations(), 5u);
   EXPECT_TRUE(eval.exhausted());
 }
@@ -227,12 +213,13 @@ TEST(CachingEvaluator, BackendSeesOnlyFirstOccurrenceMissesOneBatchPerCall) {
   RecordingBackend backend(*bench);
   CachingEvaluator eval(backend, 10);
 
-  (void)eval.evaluate_batch(configs_at(*bench, {d[0], d[1], d[0], d[2], d[1]}));
+  (void)eval.evaluate_batch(
+      std::vector<ConfigIndex>{d[0], d[1], d[0], d[2], d[1]});
   ASSERT_EQ(backend.batches.size(), 1u);
   EXPECT_EQ(backend.batches[0], (std::vector<ConfigIndex>{d[0], d[1], d[2]}));
 
   // A mixed call sends only its misses; a single miss is a batch of one.
-  (void)eval.evaluate_batch(configs_at(*bench, {d[4], d[0], d[3], d[4]}));
+  (void)eval.evaluate_batch(std::vector<ConfigIndex>{d[4], d[0], d[3], d[4]});
   (void)eval.evaluate_index(d[5]);
   ASSERT_EQ(backend.batches.size(), 3u);
   EXPECT_EQ(backend.batches[1], (std::vector<ConfigIndex>{d[4], d[3]}));
@@ -253,7 +240,6 @@ TEST(CachingEvaluator, ThrowingBackendAbandonsClaimsAnotherSessionTakesOver) {
   const auto d = distinct_indices(*bench, 64, 14);
   ASSERT_GE(d.size(), 4u);
   const std::vector<ConfigIndex> wanted(d.begin(), d.begin() + 4);
-  const auto configs = configs_at(*bench, wanted);
   service::ShardedMeasurementCache shared(bench->space().compiled_shared());
   EvaluationHooks hooks;
   hooks.shared_cache = &shared;
@@ -261,7 +247,7 @@ TEST(CachingEvaluator, ThrowingBackendAbandonsClaimsAnotherSessionTakesOver) {
   RecordingBackend broken(*bench);
   broken.fail = true;
   CachingEvaluator failing(broken, 10, hooks);
-  EXPECT_THROW((void)failing.evaluate_batch(configs), std::runtime_error);
+  EXPECT_THROW((void)failing.evaluate_batch(wanted), std::runtime_error);
   ASSERT_EQ(broken.batches.size(), 1u);
   EXPECT_EQ(broken.batches[0], wanted);  // it owned every claim
   EXPECT_EQ(failing.evaluations(), 0u);
@@ -271,14 +257,14 @@ TEST(CachingEvaluator, ThrowingBackendAbandonsClaimsAnotherSessionTakesOver) {
 
   RecordingBackend healthy(*bench);
   CachingEvaluator recovering(healthy, 10, hooks);
-  (void)recovering.evaluate_batch(configs);
+  (void)recovering.evaluate_batch(wanted);
   ASSERT_EQ(healthy.batches.size(), 1u);
   EXPECT_EQ(healthy.batches[0], wanted);  // re-claimed, evaluated itself
   EXPECT_EQ(shared.stats().evaluations, wanted.size());
 
   LiveBackend live(*bench, 0);
   CachingEvaluator standalone(live, 10);
-  (void)standalone.evaluate_batch(configs);
+  (void)standalone.evaluate_batch(wanted);
   ASSERT_EQ(recovering.trace().size(), standalone.trace().size());
   for (std::size_t i = 0; i < standalone.trace().size(); ++i) {
     EXPECT_EQ(recovering.trace()[i].index, standalone.trace()[i].index);
@@ -289,19 +275,15 @@ TEST(CachingEvaluator, ThrowingBackendAbandonsClaimsAnotherSessionTakesOver) {
 
 TEST(CachingEvaluator, BatchedAndSerialProduceIdenticalTraces) {
   const auto bench = kernels::make("pnpoly");
-  const auto& params = bench->space().params();
   const auto indices = sample_indices(*bench, 30, 8);
-  std::vector<Config> configs;
-  configs.reserve(indices.size());
-  for (const auto i : indices) configs.push_back(params.config_at(i));
 
   LiveBackend live_a(*bench, 0);
   CachingEvaluator serial(live_a, 100);
-  for (const auto& c : configs) (void)serial(c);
+  for (const auto i : indices) (void)serial.evaluate_index(i);
 
   LiveBackend live_b(*bench, 0);
   CachingEvaluator batched(live_b, 100);
-  (void)batched.evaluate_batch(configs);
+  (void)batched.evaluate_batch(indices);
 
   ASSERT_EQ(serial.trace().size(), batched.trace().size());
   for (std::size_t i = 0; i < serial.trace().size(); ++i) {
@@ -314,10 +296,7 @@ TEST(CachingEvaluator, BatchedAndSerialProduceIdenticalTraces) {
 TEST(CachingEvaluator, ReplayAndLiveTracesAreIdentical) {
   const auto bench = kernels::make("pnpoly");
   const auto ds = Runner::run_exhaustive(*bench, 0);
-  const auto& params = bench->space().params();
   const auto indices = sample_indices(*bench, 40, 9);
-  std::vector<Config> configs;
-  for (const auto i : indices) configs.push_back(params.config_at(i));
 
   LiveBackend live(*bench, 0);
   CachingEvaluator live_eval(live, 25);
@@ -326,7 +305,7 @@ TEST(CachingEvaluator, ReplayAndLiveTracesAreIdentical) {
 
   const auto drive = [&](CachingEvaluator& eval) {
     try {
-      (void)eval.evaluate_batch(configs);
+      (void)eval.evaluate_batch(indices);
     } catch (const BudgetExhausted&) {
     }
   };
@@ -369,10 +348,10 @@ TEST(ReplayBackend, ForeignDatasetFallsBackToHashedLookup) {
   Dataset ds("gemm", "RTX_3090", params.param_names());
   std::vector<ConfigIndex> rows;
   for (std::size_t i = 0; i < 8; ++i) {
-    const auto config = space.random_valid_config(rng);
-    const auto index = params.index_of_config(config);
+    const auto index = space.random_valid_index(rng);
     rows.push_back(index);
-    ds.add(index, config, Measurement::valid(1.0 + static_cast<double>(i)));
+    ds.add(index, params.config_at(index),
+           Measurement::valid(1.0 + static_cast<double>(i)));
   }
   ConfigIndex foreign = 0;
   while (space.compiled().is_valid_index(foreign)) ++foreign;

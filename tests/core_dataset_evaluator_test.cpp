@@ -92,9 +92,9 @@ TEST(CachingEvaluator, CountsOnlyDistinctEvaluations) {
   LiveBackend backend(*bench, 0);
   CachingEvaluator eval(backend, 10);
   common::Rng rng(3);
-  const Config a = bench->space().random_valid_config(rng);
-  const double first = eval(a);
-  const double second = eval(a);  // cache hit
+  const ConfigIndex a = bench->space().random_valid_index(rng);
+  const double first = eval.evaluate_index(a);
+  const double second = eval.evaluate_index(a);  // cache hit
   EXPECT_DOUBLE_EQ(first, second);
   EXPECT_EQ(eval.evaluations(), 1u);
 }
@@ -105,15 +105,12 @@ TEST(CachingEvaluator, ThrowsWhenBudgetExhausted) {
   CachingEvaluator eval(backend, 3);
   common::Rng rng(4);
   for (int i = 0; i < 3; ++i) {
-    (void)eval(bench->space().random_valid_config(rng));
+    (void)eval.evaluate_index(bench->space().random_valid_index(rng));
   }
   EXPECT_TRUE(eval.exhausted());
   // A fresh (uncached) configuration must now be refused.
-  Config fresh;
-  do {
-    fresh = bench->space().random_valid_config(rng);
-  } while (false);
-  EXPECT_THROW((void)eval(fresh), BudgetExhausted);
+  const ConfigIndex fresh = bench->space().random_valid_index(rng);
+  EXPECT_THROW((void)eval.evaluate_index(fresh), BudgetExhausted);
 }
 
 TEST(CachingEvaluator, BestSoFarIsMonotone) {
@@ -122,7 +119,7 @@ TEST(CachingEvaluator, BestSoFarIsMonotone) {
   CachingEvaluator eval(backend, 30);
   common::Rng rng(5);
   for (int i = 0; i < 30; ++i) {
-    (void)eval(bench->space().random_valid_config(rng));
+    (void)eval.evaluate_index(bench->space().random_valid_index(rng));
   }
   const auto curve = eval.best_so_far();
   ASSERT_EQ(curve.size(), 30u);

@@ -115,38 +115,6 @@ TEST(ParamSpace, DecodeRejectsOutOfRangeIndex) {
                common::ContractViolation);
 }
 
-TEST(ParamSpace, NeighborsAreHammingOne) {
-  const auto space = tiny_space();
-  const Config center{2, 10, 1};
-  const auto neighbors = space.neighbors(center);
-  EXPECT_EQ(neighbors.size(), (3u - 1) + (2u - 1) + (4u - 1));
-  for (const auto& n : neighbors) {
-    int diff = 0;
-    for (std::size_t p = 0; p < n.size(); ++p) diff += n[p] != center[p];
-    EXPECT_EQ(diff, 1);
-    EXPECT_TRUE(space.contains(n));
-  }
-  // All distinct.
-  std::set<Config> unique(neighbors.begin(), neighbors.end());
-  EXPECT_EQ(unique.size(), neighbors.size());
-}
-
-TEST(ParamSpace, ForEachNeighborRestoresScratch) {
-  const auto space = tiny_space();
-  const Config center{1, 20, 3};
-  std::size_t count = 0;
-  space.for_each_neighbor(center, [&](const Config&) { ++count; });
-  EXPECT_EQ(count, 6u);
-}
-
-TEST(ParamSpace, RandomConfigIsMember) {
-  const auto space = tiny_space();
-  common::Rng rng(11);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(space.contains(space.random_config(rng)));
-  }
-}
-
 TEST(ParamSpace, DescribeFormats) {
   EXPECT_EQ(tiny_space().describe(Config{3, 20, 0}), "a=3, b=20, c=0");
 }

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <set>
 
+#include "core/compiled_space.hpp"
+
 namespace bat::core {
 namespace {
 
@@ -56,7 +58,7 @@ TEST(SearchSpace, EnumerateIsSortedAndValid) {
   EXPECT_EQ(valid.size(), space.count_constrained());
   EXPECT_TRUE(std::is_sorted(valid.begin(), valid.end()));
   for (const auto idx : valid) {
-    EXPECT_TRUE(space.is_valid_index(idx));
+    EXPECT_TRUE(space.is_valid(space.params().config_at(idx)));
   }
 }
 
@@ -69,7 +71,9 @@ TEST(SearchSpace, SampleDistinctValidDeterministic) {
   EXPECT_EQ(s1.size(), 6u);
   std::set<ConfigIndex> unique(s1.begin(), s1.end());
   EXPECT_EQ(unique.size(), s1.size());
-  for (const auto idx : s1) EXPECT_TRUE(space.is_valid_index(idx));
+  for (const auto idx : s1) {
+    EXPECT_TRUE(space.is_valid(space.params().config_at(idx)));
+  }
 }
 
 TEST(SearchSpace, SampleMoreThanExistReturnsAll) {
@@ -79,11 +83,12 @@ TEST(SearchSpace, SampleMoreThanExistReturnsAll) {
   EXPECT_EQ(all.size(), space.count_constrained());
 }
 
-TEST(SearchSpace, RandomValidConfigSatisfiesConstraints) {
+TEST(SearchSpace, RandomValidIndexSatisfiesConstraints) {
   const auto space = divisible_space();
   common::Rng rng(7);
   for (int i = 0; i < 200; ++i) {
-    EXPECT_TRUE(space.is_valid(space.random_valid_config(rng)));
+    const auto index = space.random_valid_index(rng);
+    EXPECT_TRUE(space.is_valid(space.params().config_at(index)));
   }
 }
 
@@ -91,7 +96,11 @@ TEST(SearchSpace, ValidNeighborsRespectConstraints) {
   const auto space = divisible_space();
   const Config center{16, 4, 0};
   ASSERT_TRUE(space.is_valid(center));
-  const auto neighbors = space.valid_neighbors(center);
+  std::vector<Config> neighbors;
+  NeighborScratch scratch;
+  space.compiled().for_each_valid_neighbor_index(
+      space.params().index_of_config(center), scratch,
+      [&](ConfigIndex n) { neighbors.push_back(space.params().config_at(n)); });
   EXPECT_FALSE(neighbors.empty());
   for (const auto& n : neighbors) {
     EXPECT_TRUE(space.is_valid(n));
@@ -113,7 +122,7 @@ TEST(SearchSpace, IsValidChecksMembershipToo) {
 TEST(SearchSpace, ContradictionConstraintTerminatesGracefully) {
   // Regression: rejection sampling must not spin when constraints kill
   // (almost) everything. A contradictory space yields an empty sample
-  // and a clear exception from random_valid_config, both promptly.
+  // and a clear exception from random_valid_index, both promptly.
   ParamSpace params;
   params.add(Parameter::list("m", {8, 16, 32, 64}))
       .add(Parameter::list("t", {2, 4, 8}));
@@ -126,7 +135,6 @@ TEST(SearchSpace, ContradictionConstraintTerminatesGracefully) {
   EXPECT_TRUE(space.enumerate_constrained().empty());
   common::Rng rng(3);
   EXPECT_TRUE(space.sample_constrained(25, rng).empty());
-  EXPECT_THROW((void)space.random_valid_config(rng), std::runtime_error);
   EXPECT_THROW((void)space.random_valid_index(rng), std::runtime_error);
 }
 
@@ -145,7 +153,8 @@ TEST(SearchSpace, NearEmptyValidSetStillSamplesExactly) {
   const auto sample = space.sample_constrained(5, rng);
   ASSERT_EQ(sample.size(), 1u);
   EXPECT_EQ(space.params().config_at(sample[0]), (Config{32, 8}));
-  EXPECT_EQ(space.random_valid_config(rng), (Config{32, 8}));
+  EXPECT_EQ(space.params().config_at(space.random_valid_index(rng)),
+            (Config{32, 8}));
 }
 
 class RejectionSweep : public ::testing::TestWithParam<std::size_t> {};

@@ -422,14 +422,12 @@ TEST(ReplayBackend, FallbackWarningNamesStaleSchema) {
 TEST(DatasetRepository, ResolvesMemoryThenDiskThenSweep) {
   const auto dir = temp_path("repo_cache");
   fs::remove_all(dir);
-  io::RepositoryOptions options;
-  options.cache_dir = dir;
 
   const auto bench = kernels::make("pnpoly");
   const std::string device = bench->device_name(0);
 
   // 1) Nothing anywhere: get() sweeps and persists a binary archive.
-  io::DatasetRepository repo(options);
+  io::DatasetRepository repo(dir);
   EXPECT_EQ(repo.find("pnpoly", device), nullptr);
   const auto swept = repo.get(*bench, 0);
   ASSERT_NE(swept, nullptr);
@@ -440,13 +438,13 @@ TEST(DatasetRepository, ResolvesMemoryThenDiskThenSweep) {
   EXPECT_EQ(repo.get(*bench, 0).get(), swept.get());
 
   // 2) A fresh repository over the same dir resolves from disk.
-  io::DatasetRepository second(options);
+  io::DatasetRepository second(dir);
   const auto from_disk = second.find("pnpoly", device);
   ASSERT_NE(from_disk, nullptr);
   expect_datasets_equal(*from_disk, *swept);
 
   // 3) The zero-copy view of the same archive.
-  io::DatasetRepository third(options);
+  io::DatasetRepository third(dir);
   const auto view = third.view("pnpoly", device);
   ASSERT_NE(view, nullptr);
   EXPECT_EQ(view->size(), swept->size());

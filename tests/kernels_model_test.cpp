@@ -154,7 +154,8 @@ TEST(GemmModel, BigTilesBeatSmallTiles) {
 TEST(AllModels, NoiseIsSmallAndCentered) {
   for (const auto& bench : make_all()) {
     common::Rng rng(13);
-    const auto config = bench->space().random_valid_config(rng);
+    const auto& space = bench->space();
+    const auto config = space.params().config_at(space.random_valid_index(rng));
     const auto m = bench->evaluate(config, 1);
     if (!m.ok()) continue;
     // Re-evaluation is bit-identical (determinism) — noise is baked in.
@@ -168,7 +169,7 @@ class CrossDeviceSweep : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(CrossDeviceSweep, Rtx3090IsFastestOrCloseForGoodConfigs) {
   const auto bench = make(GetParam());
-  const auto ds = core::Runner::run_default(*bench, 2, 0xBA7, 2000, 100000);
+  const auto ds = core::Runner::run_default(*bench, 2, 0xBA7, 2000);
   const auto best = ds.config(ds.best_row());
   // The 3090 has the highest peak compute AND bandwidth; its own best
   // config must not run faster on any other device.

@@ -6,6 +6,7 @@
 #include <map>
 #include <sstream>
 
+#include "core/compiled_space.hpp"
 #include "core/runner.hpp"
 #include "kernels/all_kernels.hpp"
 #include "tuners/tuner.hpp"
@@ -187,13 +188,13 @@ TEST(LocalSearch, ReachesALocalMinimum) {
   // budget ended mid-descent; for a 400-eval budget on a 4k space, at
   // least one full descent completes, so check against neighbors.
   const auto& space = bench->space();
-  const auto best_config =
-      space.params().config_at(run.best->index);
+  core::NeighborScratch scratch;
   std::size_t better_neighbors = 0;
-  for (const auto& n : space.valid_neighbors(best_config)) {
-    const auto m = bench->evaluate(n, 2);
-    if (m.ok() && m.time_ms < run.best->objective) ++better_neighbors;
-  }
+  space.compiled().for_each_valid_neighbor_index(
+      run.best->index, scratch, [&](core::ConfigIndex n) {
+        const auto m = bench->evaluate(space.params().config_at(n), 2);
+        if (m.ok() && m.time_ms < run.best->objective) ++better_neighbors;
+      });
   EXPECT_EQ(better_neighbors, 0u);
 }
 

@@ -480,8 +480,8 @@ int cmd_sweep(const Args& args) {
                                            batch);
   } else {
     rows = core::Runner::stream_default(
-        *bench, device, writer.sink(), args.get_size("seed", 0xBA7BA7ULL),
-        args.get_size("samples", 10'000), 100'000, batch);
+        *bench, device, writer.sink(), args.get_size("seed", core::kSweepSeed),
+        args.get_size("samples", core::kSweepSamples), batch);
   }
   writer.finalize();
 
