@@ -75,11 +75,14 @@ SAN_DIR="${BUILD_DIR}-asan"
 # ml_test/analysis_test fit GBDTs through the flat (feature, bin)
 # histogram indexing, where an off-by-one reads a neighbouring
 # feature's bin and still yields plausible trees in a release build.
+# tuners_test drives every tuner's digit and stride arithmetic (pso/de
+# snapping, genetic crossover and mutation), where a digit out of range
+# would index past a value table.
 SAN_TESTS=(core_backend_test core_dataset_evaluator_test
            common_thread_pool_test core_compiled_space_test
            io_dataset_test common_json_test net_http_test
            io_journal_test service_recovery_test obs_metrics_test
-           api_http_test ml_test analysis_test)
+           api_http_test ml_test analysis_test tuners_test)
 cmake -B "${SAN_DIR}" -S . -DCMAKE_BUILD_TYPE=Debug -DBAT_SANITIZE=ON
 cmake --build "${SAN_DIR}" -j "${JOBS}" --target "${SAN_TESTS[@]}"
 for t in "${SAN_TESTS[@]}"; do
