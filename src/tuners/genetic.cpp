@@ -56,23 +56,24 @@ std::vector<core::ConfigIndex> GeneticAlgorithm::ask(std::size_t,
   };
 
   batch.reserve(kPopulation - elites_.size());
+  std::vector<std::uint32_t> genome, mate;  // digit buffers, reused
   while (batch.size() + elites_.size() < kPopulation) {
     const Individual& a = tournament();
     const Individual& b = tournament();
-    compiled.decode_digits(a.index, child_);
+    compiled.decode_digits(a.index, genome);
     if (rng.uniform() < kCrossoverRate) {
-      compiled.decode_digits(b.index, other_);
-      for (std::size_t p = 0; p < child_.size(); ++p) {
-        if (rng.bernoulli(0.5)) child_[p] = other_[p];
+      compiled.decode_digits(b.index, mate);
+      for (std::size_t p = 0; p < genome.size(); ++p) {
+        if (rng.bernoulli(0.5)) genome[p] = mate[p];
       }
     }
-    for (std::size_t p = 0; p < child_.size(); ++p) {
+    for (std::size_t p = 0; p < genome.size(); ++p) {
       if (rng.uniform() < kMutationRate) {
-        child_[p] =
+        genome[p] =
             static_cast<std::uint32_t>(rng.next_below(compiled.radix(p)));
       }
     }
-    core::ConfigIndex child = compiled.index_of_digits(child_);
+    core::ConfigIndex child = compiled.index_of_digits(genome);
     if (!compiled.is_valid_index(child)) {
       // Repair by resampling a fresh valid configuration: simple and
       // unbiased, mirroring Kernel Tuner's GA handling of constraints.

@@ -10,8 +10,6 @@
 // thread (see the ownership notes in tuners/tuner.hpp).
 #pragma once
 
-#include <cstdint>
-
 #include "tuners/tuner.hpp"
 
 namespace bat::tuners {
@@ -34,15 +32,13 @@ class GeneticAlgorithm final : public Tuner {
 
  private:
   struct Individual {
-    core::ConfigIndex index;
+    core::ConfigIndex index = 0;
     double objective = 0.0;
   };
 
   const core::CompiledSpace* compiled_ = nullptr;
   std::vector<Individual> population_;  // previous generation, evaluated
   std::vector<Individual> elites_;     // carried over, objective known
-  std::vector<std::uint32_t> child_;   // digit buffers, reused per child
-  std::vector<std::uint32_t> other_;
 };
 
 }  // namespace bat::tuners
