@@ -219,8 +219,8 @@ void BM_TunerStepLocalSearch(benchmark::State& state) {
 BENCHMARK(BM_TunerStepLocalSearch);
 
 void BM_BatchEvaluateLive(benchmark::State& state) {
-  // The batched hot path: one generation fanned out over the thread
-  // pool vs evaluated element-wise (state.range(0) = batch size).
+  // The batched hot path: one generation evaluated serially by
+  // LiveBackend on the calling thread (state.range(0) = batch size).
   const auto bench = kernels::make("gemm");
   common::Rng rng(8);
   const std::size_t n = static_cast<std::size_t>(state.range(0));

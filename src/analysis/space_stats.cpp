@@ -4,7 +4,6 @@
 #include <set>
 
 #include "common/contracts.hpp"
-#include "common/thread_pool.hpp"
 #include "core/runner.hpp"
 
 namespace bat::analysis {
@@ -14,41 +13,21 @@ namespace {
 /// A parameter is "important" at or above this PFI on some device.
 constexpr double kPfiThreshold = 0.05;
 
-/// Counts configurations of the projected space (reduced params free,
-/// others pinned to `pinned`) that satisfy the constraints.
+/// Reduce-Constrained: the constrained count of the space in which every
+/// parameter outside `kept` (sorted) holds its one value from `pinned`.
 std::uint64_t count_reduce_constrained(const core::SearchSpace& space,
                                        const std::vector<std::size_t>& kept,
                                        const core::Config& pinned) {
   const auto& params = space.params();
-  // Mixed-radix enumeration over the kept parameters only.
-  std::uint64_t total = 1;
-  for (const auto p : kept) total *= params.param(p).cardinality();
-
-  const auto decode = [&](std::uint64_t index, core::Config& config) {
-    config = pinned;
-    for (std::size_t i = kept.size(); i-- > 0;) {
-      const auto& values = params.param(kept[i]).values();
-      config[kept[i]] = values[index % values.size()];
-      index /= values.size();
-    }
-  };
-
-  auto& pool = common::ThreadPool::global();
-  std::vector<std::uint64_t> partial(pool.size(), 0);
-  pool.parallel_for_chunked(
-      0, static_cast<std::size_t>(total),
-      [&](std::size_t lo, std::size_t hi, std::size_t worker) {
-        core::Config config;
-        std::uint64_t count = 0;
-        for (std::size_t i = lo; i < hi; ++i) {
-          decode(i, config);
-          if (space.constraints().satisfied(config)) ++count;
-        }
-        partial[worker] = count;
-      });
-  std::uint64_t count = 0;
-  for (const auto c : partial) count += c;
-  return count;
+  core::ParamSpace projected;
+  for (std::size_t p = 0; p < params.num_params(); ++p) {
+    const auto& param = params.param(p);
+    projected.add(std::binary_search(kept.begin(), kept.end(), p)
+                      ? param
+                      : core::Parameter::list(param.name(), {pinned[p]}));
+  }
+  return core::SearchSpace(std::move(projected), space.constraints())
+      .count_constrained();
 }
 
 }  // namespace
@@ -100,9 +79,7 @@ SpaceStats space_stats(const core::Benchmark& benchmark,
     const auto ds = core::Runner::run_default(benchmark, 0);
     pinned = ds.config(ds.best_row());
   }
-  stats.reduce_constrained =
-      kept.empty() ? (space.constraints().satisfied(pinned) ? 1 : 0)
-                   : count_reduce_constrained(space, kept, pinned);
+  stats.reduce_constrained = count_reduce_constrained(space, kept, pinned);
   return stats;
 }
 

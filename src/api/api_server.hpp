@@ -43,7 +43,7 @@
 // (and, journaled, the process) so a client can poll after completion.
 // Bound: the journal's checkpoint retention evicts the oldest
 // completed sessions, and the service's bounded backlog (submit blocks
-// at queue_capacity, the transport sheds 503 once its admission queue
+// once 64 sessions wait, the transport sheds 503 once its admission queue
 // fills behind it) caps the growth rate at the sessions' finish rate.
 //
 // Thread-safety: handle() runs concurrently on HTTP workers;

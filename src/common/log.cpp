@@ -77,7 +77,9 @@ std::string format_log_line(LogLevel level, const std::string& message,
   const int ms = static_cast<int>(unix_ms % 1000);
   std::tm tm{};
   gmtime_r(&secs, &tm);
-  char ts[40];
+  // Sized for the worst case the compiler checks: seven ints of up to
+  // 11 characters each, seven literal characters and the NUL.
+  char ts[7 * 11 + 7 + 1];
   std::snprintf(ts, sizeof ts, "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                 tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
                 tm.tm_min, tm.tm_sec, ms);

@@ -136,13 +136,4 @@ void parallel_for_chunked(
   ThreadPool::global().parallel_for_chunked(begin, end, body);
 }
 
-std::size_t parallel_count_if(std::size_t begin, std::size_t end,
-                              const std::function<bool(std::size_t)>& pred) {
-  return ThreadPool::global().parallel_reduce<std::size_t>(
-      begin, end, std::size_t{0},
-      [&](std::size_t i) -> std::size_t { return pred(i) ? 1 : 0; },
-      [](std::size_t acc, std::size_t v) { return acc + v; },
-      [](std::size_t a, std::size_t b) { return a + b; });
-}
-
 }  // namespace bat::common

@@ -3,17 +3,19 @@
 // BAT evaluates up to ~10^8 constraint predicates and ~10^5 simulated
 // kernel launches per experiment; all of that is embarrassingly parallel.
 // User code never spawns raw threads (CP.1/CP.25): it calls parallel_for /
-// parallel_reduce on the shared pool, which chunk the index range
+// parallel_for_chunked on the shared pool, which chunk the index range
 // statically like `#pragma omp parallel for schedule(static)`.
 //
 // The inline-nesting rule (easy to trip over): a parallel_for issued
 // from *inside* a pool task runs its body inline on the calling worker
 // instead of fanning out — the outer level owns the parallelism, which
-// is what makes composed parallel code deadlock-free. Consequence for
-// the service layer: a tuning session running on a pool worker gets no
-// batch-level parallelism; session-level concurrency replaces it.
-// Blocking a pool task on work that needs another pool task (rather
-// than on an external signal) would deadlock a full pool — don't.
+// is what makes composed parallel code deadlock-free. Tuning sessions
+// never fan out their evaluation batches (LiveBackend is serial); the
+// service and fig2 get their parallelism from running many sessions at
+// once, and core::Runner's sweeps from splitting each batch over the
+// pool. Blocking a pool task on work that needs another pool task
+// (rather than on an external signal) would deadlock a full pool —
+// don't.
 #pragma once
 
 #include <condition_variable>
@@ -64,26 +66,6 @@ class ThreadPool {
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body);
 
-  /// Parallel reduction: maps each index through `map` into a per-worker
-  /// accumulator (initialized with `init`) via `fold`, then combines the
-  /// per-worker accumulators with `combine`.
-  template <typename Acc, typename Map, typename Fold, typename Combine>
-  Acc parallel_reduce(std::size_t begin, std::size_t end, Acc init, Map map,
-                      Fold fold, Combine combine) {
-    std::vector<Acc> partials(size(), init);
-    parallel_for_chunked(begin, end,
-                         [&](std::size_t lo, std::size_t hi, std::size_t w) {
-                           Acc acc = init;
-                           for (std::size_t i = lo; i < hi; ++i) {
-                             acc = fold(std::move(acc), map(i));
-                           }
-                           partials[w] = std::move(acc);
-                         });
-    Acc total = init;
-    for (auto& p : partials) total = combine(std::move(total), std::move(p));
-    return total;
-  }
-
  private:
   struct Task {
     std::function<void()> fn;
@@ -105,9 +87,5 @@ void parallel_for(std::size_t begin, std::size_t end,
 void parallel_for_chunked(
     std::size_t begin, std::size_t end,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
-
-/// Parallel count of indices in [begin, end) satisfying pred.
-std::size_t parallel_count_if(std::size_t begin, std::size_t end,
-                              const std::function<bool(std::size_t)>& pred);
 
 }  // namespace bat::common

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "common/log.hpp"
-#include "common/thread_pool.hpp"
 
 namespace bat::core {
 
@@ -48,23 +47,13 @@ std::vector<Measurement> LiveBackend::evaluate_batch(
   // Decoding goes through the compiled value tables: the same mixed-radix
   // arithmetic as ParamSpace but without touching Parameter objects.
   const auto& compiled = benchmark_->space().compiled();
-  std::vector<Measurement> results(indices.size());
-  if (indices.size() < kParallelThreshold) {
-    Config scratch;
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-      compiled.decode_into(indices[i], scratch);
-      results[i] = benchmark_->evaluate(scratch, device_);
-    }
-    return results;
+  std::vector<Measurement> results;
+  results.reserve(indices.size());
+  Config scratch;
+  for (const ConfigIndex index : indices) {
+    compiled.decode_into(index, scratch);
+    results.push_back(benchmark_->evaluate(scratch, device_));
   }
-  common::parallel_for_chunked(
-      0, indices.size(), [&](std::size_t lo, std::size_t hi, std::size_t) {
-        Config scratch;
-        for (std::size_t i = lo; i < hi; ++i) {
-          compiled.decode_into(indices[i], scratch);
-          results[i] = benchmark_->evaluate(scratch, device_);
-        }
-      });
   return results;
 }
 

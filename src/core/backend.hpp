@@ -4,9 +4,9 @@
 // runners, analyses — all speak ConfigIndex batches) and "how it is
 // evaluated". Two implementations cover the paper's modes:
 //
-//   * LiveBackend    — calls Benchmark::evaluate, fanning batches out over
-//                      the shared ThreadPool (many independent simulated
-//                      kernel launches per batch).
+//   * LiveBackend    — calls Benchmark::evaluate for each configuration
+//                      of a batch, in order, on the calling thread
+//                      (core::Runner fans its sweeps out over several).
 //   * ReplayBackend  — serves a swept dataset (an in-memory core::Dataset
 //                      or a mmap'ed io::DatasetView): the paper's tabular-
 //                      benchmark mode, making tuner comparisons free after
@@ -63,7 +63,7 @@ class EvaluationBackend {
 
   /// Evaluates a batch of configurations identified by ConfigIndex.
   /// Results align with `indices` (result[i] belongs to indices[i]).
-  /// Implementations may evaluate in parallel but must be deterministic.
+  /// Implementations must be deterministic.
   [[nodiscard]] virtual std::vector<Measurement> evaluate_batch(
       std::span<const ConfigIndex> indices) = 0;
 
@@ -71,14 +71,12 @@ class EvaluationBackend {
   [[nodiscard]] Measurement evaluate(ConfigIndex index);
 };
 
-/// Live evaluation through a (benchmark, device) pair. Batches of at
-/// least kParallelThreshold configs fan out over ThreadPool::global();
-/// smaller batches stay on the calling thread (a single evaluation is
-/// far cheaper than a pool handoff).
+/// Live evaluation through a (benchmark, device) pair: one serial loop
+/// on the calling thread. A single evaluation costs far less than a
+/// pool handoff, and a session's batches are small; core::Runner's
+/// sweeps split their large batches over the pool themselves.
 class LiveBackend final : public EvaluationBackend {
  public:
-  static constexpr std::size_t kParallelThreshold = 8;
-
   LiveBackend(const Benchmark& benchmark, DeviceIndex device);
 
   [[nodiscard]] const std::string& name() const override { return name_; }

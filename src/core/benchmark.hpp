@@ -9,11 +9,11 @@
 // Ownership / thread-safety: kernels::make returns a uniquely-owned
 // Benchmark; implementations are immutable after construction and
 // evaluate() is const and deterministic, so one instance may serve
-// concurrent callers (LiveBackend batches fan out over the thread pool,
-// and service::TuningService shares one Benchmark per workload across
-// sessions). space() returns a reference the Benchmark owns — keep the
-// Benchmark alive as long as anything holds its space or a backend over
-// it.
+// concurrent callers (core::Runner's sweeps split a batch over the
+// thread pool, and service::TuningService shares one Benchmark per
+// workload across sessions). space() returns a reference the Benchmark
+// owns — keep the Benchmark alive as long as anything holds its space
+// or a backend over it.
 #pragma once
 
 #include <cstddef>

@@ -8,6 +8,38 @@
 
 namespace bat::core {
 
+namespace {
+
+/// The walk's parallel driver: one serial walk per pool chunk of the
+/// product, each folding its valid indices into its own accumulator.
+/// Chunks are contiguous and ascending, so the partials come back in
+/// index order.
+template <typename Acc, typename Step>
+std::vector<Acc> walk_in_parallel(const CompiledSpace& space, Step step) {
+  auto& pool = common::ThreadPool::global();
+  std::vector<Acc> partial(pool.size());
+  pool.parallel_for_chunked(
+      0, static_cast<std::size_t>(space.cardinality()),
+      [&](std::size_t lo, std::size_t hi, std::size_t worker) {
+        auto& acc = partial[worker];
+        space.for_each_valid(lo, hi, [&](ConfigIndex i) { step(acc, i); });
+      });
+  return partial;
+}
+
+std::vector<ConfigIndex> collect_valid(const CompiledSpace& space) {
+  const auto partial = walk_in_parallel<std::vector<ConfigIndex>>(
+      space, [](auto& out, ConfigIndex i) { out.push_back(i); });
+  std::size_t total = 0;
+  for (const auto& p : partial) total += p.size();
+  std::vector<ConfigIndex> all;
+  all.reserve(total);
+  for (const auto& p : partial) all.insert(all.end(), p.begin(), p.end());
+  return all;
+}
+
+}  // namespace
+
 CompiledSpace::CompiledSpace(const ParamSpace& params,
                              const ConstraintSet& constraints)
     : CompiledSpace(params, constraints, Options{}) {}
@@ -66,32 +98,8 @@ CompiledSpace::CompiledSpace(const ParamSpace& params,
 }
 
 void CompiledSpace::materialize() {
-  const auto n = static_cast<std::size_t>(cardinality_);
-  if (constraints_.empty()) {
-    valid_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      valid_[i] = static_cast<ConfigIndex>(i);
-    }
-  } else {
-    auto& pool = common::ThreadPool::global();
-    std::vector<std::vector<ConfigIndex>> partial(pool.size());
-    pool.parallel_for_chunked(
-        0, n, [&](std::size_t lo, std::size_t hi, std::size_t worker) {
-          Config scratch;
-          auto& out = partial[worker];
-          for (std::size_t i = lo; i < hi; ++i) {
-            decode_into(static_cast<ConfigIndex>(i), scratch);
-            if (satisfied(scratch)) out.push_back(static_cast<ConfigIndex>(i));
-          }
-        });
-    std::size_t total = 0;
-    for (const auto& p : partial) total += p.size();
-    valid_.reserve(total);
-    // Chunks are contiguous ascending ranges: concatenation stays sorted.
-    for (const auto& p : partial) {
-      valid_.insert(valid_.end(), p.begin(), p.end());
-    }
-  }
+  // materialized_ is still false, so the walk decodes the product.
+  valid_ = collect_valid(*this);
 
   // Bucket the sorted valid set so rank() probes one ~2-entry slice:
   // shrink buckets until there are at least half as many as valid
@@ -160,11 +168,30 @@ bool CompiledSpace::satisfied(const Config& values) const {
   return true;
 }
 
+Config& CompiledSpace::walk_scratch() {
+  thread_local Config values;
+  return values;
+}
+
 bool CompiledSpace::is_valid_index(ConfigIndex index) const {
   if (materialized_) return rank(index).has_value();
-  Config scratch;
-  decode_into(index, scratch);
-  return satisfied(scratch);
+  bool valid = false;
+  for_each_valid(index, index + 1, [&](ConfigIndex) { valid = true; });
+  return valid;
+}
+
+std::uint64_t CompiledSpace::count_valid() const {
+  if (materialized_) return valid_.size();
+  std::uint64_t total = 0;
+  for (const auto n : walk_in_parallel<std::uint64_t>(
+           *this, [](std::uint64_t& count, ConfigIndex) { ++count; })) {
+    total += n;
+  }
+  return total;
+}
+
+std::vector<ConfigIndex> CompiledSpace::enumerate_valid() const {
+  return materialized_ ? valid_ : collect_valid(*this);
 }
 
 std::optional<std::uint64_t> CompiledSpace::rank(ConfigIndex index) const {
@@ -189,11 +216,9 @@ ConfigIndex CompiledSpace::random_valid_index(common::Rng& rng) const {
     }
     return valid_[static_cast<std::size_t>(rng.next_below(valid_.size()))];
   }
-  Config scratch;
   for (std::uint64_t attempts = 0; attempts < 10'000'000; ++attempts) {
     const ConfigIndex idx = rng.next_below(cardinality_);
-    decode_into(idx, scratch);
-    if (satisfied(scratch)) return idx;
+    if (is_valid_index(idx)) return idx;
   }
   throw std::runtime_error(
       "random_valid_index: rejection sampling failed; space over-constrained");
@@ -215,7 +240,6 @@ std::vector<ConfigIndex> CompiledSpace::sample_valid(std::size_t n,
   out.reserve(n);
   std::unordered_set<ConfigIndex> seen;
   seen.reserve(n * 2);
-  Config scratch;
   // Bounded rejection: the caller (SearchSpace::sample_constrained)
   // falls back to enumeration when the space is too sparse for this to
   // fill up — rejection never spins unboundedly.
@@ -224,9 +248,7 @@ std::vector<ConfigIndex> CompiledSpace::sample_valid(std::size_t n,
   while (out.size() < n && attempts < max_attempts) {
     ++attempts;
     const ConfigIndex idx = rng.next_below(cardinality_);
-    if (seen.count(idx)) continue;
-    decode_into(idx, scratch);
-    if (!satisfied(scratch)) continue;
+    if (seen.count(idx) || !is_valid_index(idx)) continue;
     seen.insert(idx);
     out.push_back(idx);
   }

@@ -18,6 +18,14 @@
 //      bucket. The valid-ordinal domain is what ReplayBackend indexes
 //      and what FFG enumerates.
 //
+// Every "decode each index and run the constraint set" in the program
+// is one walk, for_each_valid(): building the valid set, count_valid()
+// and enumerate_valid() (Table VIII's Constrained and Reduce-
+// Constrained counts, SearchSpace's count and enumeration), the
+// exhaustive Runner sweep, and the single-index checks behind
+// is_valid_index() and rejection sampling. It decodes into one
+// reusable per-thread Config, so none of them allocates per index.
+//
 // A CompiledSpace is immutable and self-contained: it copies the value
 // tables and the constraint set, so it stays valid independently of the
 // SearchSpace it was compiled from.
@@ -31,9 +39,11 @@
 // private copies is the trap. Once built, every query is const and safe
 // to call from any number of threads; the one exception is
 // NeighborScratch, which is mutable per-call state — own one scratch
-// per thread, never share it.
+// per thread, never share it. count_valid() and enumerate_valid() on a
+// streamed space split the product over common::ThreadPool::global().
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -120,12 +130,41 @@ class CompiledSpace {
   [[nodiscard]] bool satisfied(const Config& values) const;
 
   /// Validity of an index: O(1) rank probe when the valid set is
-  /// materialized, decode + full constraint check otherwise.
+  /// materialized, a one-index walk otherwise.
   [[nodiscard]] bool is_valid_index(ConfigIndex index) const;
+
+  // --------------------------------------------------------------- walk --
+  /// The one constrained walk: calls fn(index) for every valid index in
+  /// [lo, hi), ascending, on the calling thread. A materialized space
+  /// walks its valid set; a streamed one decodes each index into the
+  /// thread's reusable scratch and runs the constraint set. fn runs
+  /// after its index is checked, so it may query this space itself.
+  template <typename Fn>
+  void for_each_valid(ConfigIndex lo, ConfigIndex hi, Fn&& fn) const {
+    BAT_EXPECTS(lo <= hi && hi <= cardinality_);
+    if (materialized_) {
+      auto it = std::lower_bound(valid_.begin(), valid_.end(), lo);
+      for (; it != valid_.end() && *it < hi; ++it) fn(*it);
+      return;
+    }
+    Config& values = walk_scratch();
+    for (ConfigIndex index = lo; index < hi; ++index) {
+      decode_into(index, values);
+      if (satisfied(values)) fn(index);
+    }
+  }
+
+  /// Number of valid configurations: the valid set's size when
+  /// materialized, a parallel walk of the product otherwise.
+  [[nodiscard]] std::uint64_t count_valid() const;
+
+  /// All valid indices, ascending: the valid set when materialized, a
+  /// parallel walk of the product otherwise.
+  [[nodiscard]] std::vector<ConfigIndex> enumerate_valid() const;
 
   // --------------------------------------------------------- valid set --
   [[nodiscard]] bool has_valid_set() const noexcept { return materialized_; }
-  /// Number of valid configurations (requires has_valid_set()).
+  /// Size of the materialized valid set (requires has_valid_set()).
   [[nodiscard]] std::uint64_t num_valid() const {
     BAT_EXPECTS(materialized_);
     return valid_.size();
@@ -233,6 +272,9 @@ class CompiledSpace {
                                                       common::Rng& rng) const;
 
  private:
+  /// The walk's decode buffer: one per thread, shared by every walk and
+  /// single-index check on that thread.
+  static Config& walk_scratch();
   void decode_values(const std::vector<std::uint32_t>& digits,
                      Config& out) const;
   void materialize();

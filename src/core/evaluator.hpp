@@ -10,10 +10,9 @@
 //   * exception-driven: evaluate_index(index) one evaluation at a time
 //     until BudgetExhausted is thrown (the classic single-point tuners);
 //   * batched ask/tell: evaluate_batch(indices) sends a whole population
-//     generation through the backend in one call, which LiveBackend fans
-//     out over the thread pool. A batch crossing the budget boundary is
-//     truncated so the trace ends exactly at the budget, byte-identical
-//     to charging one evaluation at a time.
+//     generation through the backend in one call. A batch crossing the
+//     budget boundary is truncated so the trace ends exactly at the
+//     budget, byte-identical to charging one evaluation at a time.
 // evaluate_index is a one-element evaluate_batch, and each call sends
 // the backend one evaluate_batch at most: the call's first-occurrence
 // misses, or — with a shared cache hooked in — the misses this session
@@ -56,8 +55,8 @@ class CachingEvaluator {
   double evaluate_index(ConfigIndex index);
 
   /// Evaluates a batch of configurations; results align with `indices`.
-  /// Distinct cache misses are evaluated through one backend batch (in
-  /// parallel for LiveBackend) and charged in first-occurrence order;
+  /// Distinct cache misses are evaluated through one backend batch and
+  /// charged in first-occurrence order;
   /// hits and within-batch duplicates are free. Throws BudgetExhausted
   /// after recording as many misses as still fit the budget.
   std::vector<double> evaluate_batch(std::span<const ConfigIndex> indices);

@@ -3,30 +3,43 @@
 #include <algorithm>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "core/backend.hpp"
 #include "core/compiled_space.hpp"
 
 namespace bat::core {
 
+namespace {
+
+/// The one evaluation fan-out: splits `indices` over ThreadPool::global()
+/// and evaluates each chunk through a serial LiveBackend. Results align
+/// with `indices` whatever the split, so rows stay deterministic. From
+/// inside a pool task the chunks run inline (the pool's nesting rule).
+std::vector<Measurement> evaluate_fanned_out(
+    const Benchmark& benchmark, DeviceIndex device,
+    std::span<const ConfigIndex> indices) {
+  LiveBackend backend(benchmark, device);
+  std::vector<Measurement> results(indices.size());
+  common::parallel_for_chunked(
+      0, indices.size(), [&](std::size_t lo, std::size_t hi, std::size_t) {
+        const auto chunk = backend.evaluate_batch(indices.subspan(lo, hi - lo));
+        std::copy(chunk.begin(), chunk.end(),
+                  results.begin() + static_cast<std::ptrdiff_t>(lo));
+      });
+  return results;
+}
+
+}  // namespace
+
 Dataset Runner::evaluate_indices(const Benchmark& benchmark,
                                  DeviceIndex device,
-                                 const std::vector<ConfigIndex>& indices) {
-  const auto& space = benchmark.space().params();
+                                 std::span<const ConfigIndex> indices) {
   Dataset ds(benchmark.name(), benchmark.device_name(device),
-             space.param_names());
+             benchmark.space().params().param_names());
   ds.reserve(indices.size());
-
-  // One backend batch: LiveBackend fans the evaluations out over the
-  // thread pool and returns results aligned with `indices`, so the
-  // dataset layout stays deterministic.
-  LiveBackend backend(benchmark, device);
-  const auto results = backend.evaluate_batch(indices);
-
-  Config scratch;
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    space.decode_into(indices[i], scratch);
-    ds.add(indices[i], scratch, results[i]);
-  }
+  stream_batch(benchmark, device, indices,
+               [&ds](ConfigIndex index, const Config& config,
+                     const Measurement& m) { ds.add(index, config, m); });
   return ds;
 }
 
@@ -57,12 +70,11 @@ Dataset Runner::run_default(const Benchmark& benchmark, DeviceIndex device,
 
 std::size_t Runner::stream_batch(const Benchmark& benchmark,
                                  DeviceIndex device,
-                                 const std::vector<ConfigIndex>& indices,
+                                 std::span<const ConfigIndex> indices,
                                  const RowSink& sink) {
-  // One backend batch fans out over the pool; draining into the sink is
-  // sequential so the sink (a DatasetWriter, typically) needs no locks.
-  LiveBackend backend(benchmark, device);
-  const auto results = backend.evaluate_batch(indices);
+  // The evaluations fan out; draining into the sink is sequential so the
+  // sink (a DatasetWriter, typically) needs no locks.
+  const auto results = evaluate_fanned_out(benchmark, device, indices);
   const auto& compiled = benchmark.space().compiled();
   Config scratch;
   for (std::size_t i = 0; i < indices.size(); ++i) {
@@ -77,32 +89,19 @@ std::size_t Runner::stream_exhaustive(const Benchmark& benchmark,
                                       std::size_t batch_rows) {
   batch_rows = std::max<std::size_t>(1, batch_rows);
   const auto& compiled = benchmark.space().compiled();
+  // One walk over the product: the valid set of a materialized space, a
+  // constraint filter over a streamed one. Memory stays at one batch
+  // regardless of cardinality — this is the out-of-core sweep path.
   std::size_t emitted = 0;
   std::vector<ConfigIndex> batch;
   batch.reserve(batch_rows);
-  if (compiled.has_valid_set()) {
-    // Materialized spaces: walk the compiled valid-index array in
-    // slices; no per-sweep index copy at all.
-    const auto& valid = compiled.valid_indices();
-    for (std::size_t lo = 0; lo < valid.size(); lo += batch_rows) {
-      const std::size_t hi = std::min(valid.size(), lo + batch_rows);
-      batch.assign(valid.begin() + static_cast<std::ptrdiff_t>(lo),
-                   valid.begin() + static_cast<std::ptrdiff_t>(hi));
-      emitted += stream_batch(benchmark, device, batch, sink);
-    }
-    return emitted;
-  }
-  // Streamed spaces: filter the full product through the constraint
-  // plan block by block. Memory stays at one batch regardless of
-  // cardinality — this is the out-of-core sweep path.
-  for (ConfigIndex index = 0; index < compiled.cardinality(); ++index) {
-    if (!compiled.is_valid_index(index)) continue;
+  compiled.for_each_valid(0, compiled.cardinality(), [&](ConfigIndex index) {
     batch.push_back(index);
     if (batch.size() == batch_rows) {
       emitted += stream_batch(benchmark, device, batch, sink);
       batch.clear();
     }
-  }
+  });
   if (!batch.empty()) emitted += stream_batch(benchmark, device, batch, sink);
   return emitted;
 }
@@ -115,13 +114,11 @@ std::size_t Runner::stream_sampled(const Benchmark& benchmark,
   common::Rng rng(seed);
   // Identical draw to run_sampled: same seed, same rows, same order.
   const auto indices = benchmark.space().sample_constrained(samples, rng);
+  const std::span<const ConfigIndex> all(indices);
   std::size_t emitted = 0;
-  std::vector<ConfigIndex> batch;
-  for (std::size_t lo = 0; lo < indices.size(); lo += batch_rows) {
-    const std::size_t hi = std::min(indices.size(), lo + batch_rows);
-    batch.assign(indices.begin() + static_cast<std::ptrdiff_t>(lo),
-                 indices.begin() + static_cast<std::ptrdiff_t>(hi));
-    emitted += stream_batch(benchmark, device, batch, sink);
+  for (std::size_t lo = 0; lo < all.size(); lo += batch_rows) {
+    const std::size_t rows = std::min(batch_rows, all.size() - lo);
+    emitted += stream_batch(benchmark, device, all.subspan(lo, rows), sink);
   }
   return emitted;
 }

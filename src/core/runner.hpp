@@ -10,15 +10,17 @@
 // then one evaluation batch + one writer chunk, independent of the
 // space size).
 //
-// Ownership / thread-safety: stateless static builders. Sweeps
-// parallelize over the global common::ThreadPool; called from inside a
-// pool task (e.g. a service worker building a replay workload) the
-// parallel loops degrade to inline execution per the pool's nesting
-// rule — correct, just serial. The RowSink is invoked sequentially, in
+// Ownership / thread-safety: stateless static builders. Runner owns the
+// program's one evaluation fan-out: each batch splits over the global
+// common::ThreadPool, every chunk evaluated by a serial LiveBackend.
+// Called from inside a pool task (e.g. a service worker building a
+// replay workload) the chunks run inline per the pool's nesting rule —
+// correct, just serial. The RowSink is invoked sequentially, in
 // deterministic row order, from the calling thread.
 #pragma once
 
 #include <functional>
+#include <span>
 
 #include "core/benchmark.hpp"
 #include "core/dataset.hpp"
@@ -66,7 +68,7 @@ class Runner {
   /// order, but pushed through `sink` batch by batch with bounded
   /// memory. stream_exhaustive never materializes the valid-index list
   /// for streamed (non-enumerable) spaces — it walks the full product
-  /// in blocks and filters through the compiled constraint plan.
+  /// through CompiledSpace::for_each_valid.
   /// All three return the number of rows emitted.
   static std::size_t stream_exhaustive(const Benchmark& benchmark,
                                        DeviceIndex device, const RowSink& sink,
@@ -85,10 +87,10 @@ class Runner {
  private:
   [[nodiscard]] static Dataset evaluate_indices(
       const Benchmark& benchmark, DeviceIndex device,
-      const std::vector<ConfigIndex>& indices);
+      std::span<const ConfigIndex> indices);
   static std::size_t stream_batch(const Benchmark& benchmark,
                                   DeviceIndex device,
-                                  const std::vector<ConfigIndex>& indices,
+                                  std::span<const ConfigIndex> indices,
                                   const RowSink& sink);
 };
 

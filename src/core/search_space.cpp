@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/contracts.hpp"
-#include "common/thread_pool.hpp"
 #include "core/compiled_space.hpp"
 
 namespace bat::core {
@@ -23,59 +21,17 @@ std::shared_ptr<const CompiledSpace> SearchSpace::compiled_shared() const {
 
 std::uint64_t SearchSpace::count_constrained() const {
   if (constraints_.empty()) return space_.cardinality();
-  const auto& cs = compiled();
-  if (cs.has_valid_set()) return cs.num_valid();
-
-  const ConfigIndex n = space_.cardinality();
-  auto& pool = common::ThreadPool::global();
-  std::vector<std::uint64_t> partial(pool.size(), 0);
-  pool.parallel_for_chunked(
-      0, static_cast<std::size_t>(n),
-      [&](std::size_t lo, std::size_t hi, std::size_t worker) {
-        Config scratch;
-        std::uint64_t count = 0;
-        for (std::size_t i = lo; i < hi; ++i) {
-          space_.decode_into(static_cast<ConfigIndex>(i), scratch);
-          if (constraints_.satisfied(scratch)) ++count;
-        }
-        partial[worker] = count;
-      });
-  std::uint64_t total = 0;
-  for (const auto c : partial) total += c;
-  return total;
+  return compiled().count_valid();
 }
 
 std::vector<ConfigIndex> SearchSpace::enumerate_constrained() const {
   const auto& cs = compiled();
-  if (cs.has_valid_set()) return cs.valid_indices();
-
-  const ConfigIndex n = space_.cardinality();
   constexpr ConfigIndex kEnumerationLimit = 200'000'000;
-  if (n > kEnumerationLimit) {
+  if (!cs.has_valid_set() && cs.cardinality() > kEnumerationLimit) {
     throw std::length_error(
         "search space too large to enumerate; use sample_constrained()");
   }
-  auto& pool = common::ThreadPool::global();
-  std::vector<std::vector<ConfigIndex>> partial(pool.size());
-  pool.parallel_for_chunked(
-      0, static_cast<std::size_t>(n),
-      [&](std::size_t lo, std::size_t hi, std::size_t worker) {
-        Config scratch;
-        auto& out = partial[worker];
-        for (std::size_t i = lo; i < hi; ++i) {
-          space_.decode_into(static_cast<ConfigIndex>(i), scratch);
-          if (constraints_.satisfied(scratch)) {
-            out.push_back(static_cast<ConfigIndex>(i));
-          }
-        }
-      });
-  std::vector<ConfigIndex> all;
-  std::size_t total = 0;
-  for (const auto& p : partial) total += p.size();
-  all.reserve(total);
-  // Chunks are contiguous ascending ranges, so concatenation stays sorted.
-  for (const auto& p : partial) all.insert(all.end(), p.begin(), p.end());
-  return all;
+  return cs.enumerate_valid();
 }
 
 std::vector<ConfigIndex> SearchSpace::sample_constrained(

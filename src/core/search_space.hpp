@@ -1,9 +1,8 @@
 // SearchSpace = ParamSpace + static constraints.
 //
 // Provides the three operations the experiments need at scale:
-//  * count_constrained(): valid-set count for enumerable spaces, parallel
-//    count over the full product otherwise (Table VIII "Constrained";
-//    up to 1.2e8 configurations)
+//  * count_constrained(): Table VIII's "Constrained" count (up to 1.2e8
+//    configurations)
 //  * enumerate_constrained(): materialize all valid indices (used for the
 //    exhaustively-searched benchmarks: Pnpoly, Nbody, GEMM, Convolution)
 //  * sample_constrained(): n distinct valid configs — a density-aware
@@ -14,6 +13,7 @@
 // compiled() exposes the index-space core (core/compiled_space.hpp): the
 // space compiled once into value tables + strides, a per-parameter
 // constraint plan and (for enumerable spaces) the CSR valid-index set.
+// Counting and enumeration forward to its one constrained walk.
 //
 // Ownership / thread-safety: SearchSpace is a copyable value, but all
 // copies share one lazily-compiled CompiledSpace — compiled() /
@@ -93,13 +93,15 @@ class SearchSpace {
     return space_.contains(config) && constraints_.satisfied(config);
   }
 
-  /// Count of constraint-satisfying configurations: O(1) off the
-  /// compiled valid set for enumerable spaces, parallel sweep otherwise.
+  /// Count of constraint-satisfying configurations: the cardinality when
+  /// there are no constraints, CompiledSpace::count_valid() otherwise.
   [[nodiscard]] std::uint64_t count_constrained() const;
 
-  /// All valid ConfigIndex values, ascending. Only call on spaces small
-  /// enough to materialize (the paper's exhaustive benchmarks are <= 82 944
-  /// configurations before constraints).
+  /// All valid ConfigIndex values, ascending (CompiledSpace::
+  /// enumerate_valid()). Only call on spaces small enough to materialize
+  /// (the paper's exhaustive benchmarks are <= 82 944 configurations
+  /// before constraints); a streamed space of more than 2e8
+  /// configurations throws std::length_error.
   [[nodiscard]] std::vector<ConfigIndex> enumerate_constrained() const;
 
   /// n distinct valid configurations (deterministic given `rng`). If

@@ -9,11 +9,9 @@
 //   * propagation is a thread-local (TraceScope): the service worker
 //     enters the session's scope, and every instrumented layer it
 //     calls into — backend batches, journal commits — picks the id up
-//     implicitly. No signature grows a trace parameter. The known
-//     limit: work handed to *other* threads (run_inline batch fan-out
-//     over the global pool) is timed from the requesting thread
-//     instead — the span covers the wait, which is what the session
-//     actually spent;
+//     implicitly. No signature grows a trace parameter. A session
+//     hands no work to other threads (its backend evaluates each batch
+//     serially), so everything it does runs under its scope;
 //   * a site whose scopes are too short to pay for a span each (a
 //     sequential tuner's one-config backend batches) records one
 //     SpanRun per run of consecutive scopes instead;

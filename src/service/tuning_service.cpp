@@ -13,6 +13,11 @@
 namespace bat::service {
 
 namespace {
+/// Sessions admitted but not yet started; submit() blocks beyond.
+constexpr std::size_t kQueueCapacity = 64;
+/// Shards per workload cache.
+constexpr std::size_t kCacheShards = 16;
+
 /// A tracked session's result as GET /v1/sessions/<id> serves it,
 /// encoded once. Shrunk to fit: every retained session holds its bytes,
 /// so the dump's growth slack would be paid per session.
@@ -27,9 +32,6 @@ TuningService::TuningService(ServiceOptions options)
     : options_(options),
       repo_(options.dataset_dir),
       pool_(options.workers) {
-  // queue_capacity = 0 would make every submit() block forever on the
-  // backlog predicate; treat it as "minimal backlog", not a deadlock.
-  options_.queue_capacity = std::max<std::size_t>(1, options_.queue_capacity);
   metrics_ = options_.metrics ? options_.metrics
                               : std::make_shared<obs::MetricsRegistry>();
   register_metrics();
@@ -115,7 +117,7 @@ std::future<SessionResult> TuningService::enqueue(SessionSpec spec,
   {
     std::unique_lock lock(mutex_);
     backlog_cv_.wait(lock, [&] {
-      return !accepting_ || queued_ < options_.queue_capacity;
+      return !accepting_ || queued_ < kQueueCapacity;
     });
     if (!accepting_) {
       throw std::runtime_error("TuningService: submit after shutdown");
@@ -451,7 +453,7 @@ void TuningService::build_workload(const SessionSpec& spec,
         std::make_unique<core::LiveBackend>(*workload->benchmark, spec.device);
   }
   workload->cache = std::make_shared<ShardedMeasurementCache>(
-      workload->benchmark->space().compiled_shared(), options_.cache_shards);
+      workload->benchmark->space().compiled_shared(), kCacheShards);
   // Publish under the service mutex: cache_stats() reads slot->workload
   // concurrently (sessions rendezvousing on the slot synchronize via
   // the once-flag instead and never need the lock).

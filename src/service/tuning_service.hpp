@@ -5,17 +5,19 @@
 // orchestration layer fit for serving many workloads at once:
 //
 //   * a bounded async job queue — submit() returns a future and blocks
-//     (backpressure) while `queue_capacity` sessions are already
-//     waiting for a worker;
+//     (backpressure) while 64 sessions are already waiting for a
+//     worker;
 //   * a worker pool (a dedicated common::ThreadPool) running whole
-//     sessions concurrently — note the pool's inline-nesting rule:
-//     batch fan-out *inside* a session runs inline on that session's
-//     worker, so session-level parallelism replaces batch-level;
+//     sessions concurrently — each session evaluates its batches
+//     serially on its worker, so the parallelism is across sessions
+//     (a Runner sweep that builds a replay dataset on a worker runs
+//     inline there, per the pool's nesting rule);
 //   * per-(kernel, device, backend) "workloads" created lazily and
 //     shared by every session that matches: one Benchmark instance, one
-//     stateless evaluation backend, and one ShardedMeasurementCache so
-//     concurrent sessions on the same space dedupe evaluations and hit
-//     each other's results (exactly once per distinct valid-ordinal);
+//     stateless evaluation backend, and one 16-shard
+//     ShardedMeasurementCache so concurrent sessions on the same space
+//     dedupe evaluations and hit each other's results (exactly once per
+//     distinct valid-ordinal);
 //   * cooperative cancellation: shutdown() flips one token that every
 //     session checks at its next batch boundary, so no worker is ever
 //     stuck mid-run;
@@ -71,10 +73,6 @@ namespace bat::service {
 struct ServiceOptions {
   /// Worker threads running sessions; 0 = hardware_concurrency().
   std::size_t workers = 0;
-  /// Max sessions admitted but not yet started; submit() blocks beyond.
-  std::size_t queue_capacity = 64;
-  /// Shards per workload cache (rounded up to a power of two).
-  std::size_t cache_shards = 16;
   /// Route sessions through the shared per-workload cache. Off = every
   /// session evaluates everything itself (for A/B comparisons).
   bool share_cache = true;
@@ -155,10 +153,9 @@ class TuningService {
 
   /// Runs one session synchronously on the *calling* thread instead of
   /// a pool worker, still sharing workloads/cache/cancellation with any
-  /// concurrently submitted sessions. Because the caller is outside the
-  /// worker pool, batch fan-out inside the session parallelizes over
-  /// the global pool — the right call for one-off sessions (tune run),
-  /// where routing through a worker would serialize every generation.
+  /// concurrently submitted sessions. A one-off session (tune run, a
+  /// synchronous POST /v1/sessions:run) thus skips the backlog and the
+  /// handoff to a worker, and never waits behind queued sessions.
   [[nodiscard]] SessionResult run_inline(const SessionSpec& spec);
 
   /// Blocks until every submitted session has finished.

@@ -7,6 +7,7 @@
 #include "analysis/importance.hpp"
 #include "analysis/pagerank.hpp"
 #include "analysis/portability.hpp"
+#include "analysis/space_stats.hpp"
 #include "analysis/speedup.hpp"
 #include "core/runner.hpp"
 #include "io/dataset_repository.hpp"
@@ -88,7 +89,9 @@ TEST(Centrality, MonotoneInProportionAndBounded) {
   for (std::size_t i = 0; i < curve.centrality.size(); ++i) {
     EXPECT_GE(curve.centrality[i], 0.0);
     EXPECT_LE(curve.centrality[i], 1.0);
-    if (i > 0) EXPECT_GE(curve.centrality[i], curve.centrality[i - 1]);
+    if (i > 0) {
+      EXPECT_GE(curve.centrality[i], curve.centrality[i - 1]);
+    }
   }
   // With p large enough to include every minimum the metric reaches 1.
   EXPECT_NEAR(curve.centrality.back(),
@@ -191,6 +194,41 @@ TEST(Importance, ReportsArePinnedBitForBit) {
     const auto report = feature_importance(*repo.get(*bench, 0), options);
     EXPECT_EQ(report.r2, golden.r2) << golden.kernel;
     EXPECT_EQ(report.importance, golden.importance) << golden.kernel;
+  }
+}
+
+TEST(SpaceStats, ReduceConstrainedMatchesBruteForceOverThePinnedProjection) {
+  // Table VIII's Reduce-Constrained: the configurations whose non-kept
+  // parameters equal device 0's best configuration and that satisfy
+  // every constraint. Hand-made reports pick the kept parameters.
+  const auto bench = kernels::make("gemm");
+  const auto& space = bench->space();
+  const auto& params = space.params();
+  const auto ds = core::Runner::run_default(*bench, 0);
+  const auto pinned = ds.config(ds.best_row());
+  for (const auto& kept : {std::vector<std::size_t>{0, 1, 6, 8},
+                           std::vector<std::size_t>{}}) {
+    std::vector<ImportanceReport> reports(bench->device_count());
+    for (auto& report : reports) {
+      report.importance.assign(params.num_params(), 0.0);
+    }
+    for (const auto p : kept) reports[p % reports.size()].importance[p] = 0.5;
+
+    std::uint64_t expected = 0;
+    for (core::ConfigIndex i = 0; i < space.cardinality(); ++i) {
+      const auto config = params.config_at(i);
+      bool on_projection = true;
+      for (std::size_t p = 0; p < params.num_params(); ++p) {
+        const bool free =
+            std::find(kept.begin(), kept.end(), p) != kept.end();
+        on_projection = on_projection && (free || config[p] == pinned[p]);
+      }
+      if (on_projection && space.constraints().satisfied(config)) ++expected;
+    }
+    const auto stats = space_stats(*bench, reports);
+    EXPECT_EQ(stats.reduced_params.size(), kept.size());
+    EXPECT_EQ(stats.reduce_constrained, expected)
+        << kept.size() << " kept parameters";
   }
 }
 

@@ -41,20 +41,6 @@ TEST(ThreadPool, ChunksAreContiguousAndCoverRange) {
   }
 }
 
-TEST(ThreadPool, ParallelReduceSumsCorrectly) {
-  const auto total = ThreadPool::global().parallel_reduce<long long>(
-      1, 10001, 0LL, [](std::size_t i) { return static_cast<long long>(i); },
-      [](long long acc, long long v) { return acc + v; },
-      [](long long a, long long b) { return a + b; });
-  EXPECT_EQ(total, 50005000LL);
-}
-
-TEST(ThreadPool, ParallelCountIf) {
-  const auto evens = parallel_count_if(
-      0, 1001, [](std::size_t i) { return i % 2 == 0; });
-  EXPECT_EQ(evens, 501u);
-}
-
 TEST(ThreadPool, WorkerExceptionsPropagate) {
   EXPECT_THROW(parallel_for(0, 100,
                             [](std::size_t i) {

@@ -71,18 +71,90 @@ TEST(LiveBackend, BatchMatchesElementWiseEvaluation) {
   }
 }
 
-TEST(LiveBackend, SmallBatchStaysSerialAndIdentical) {
-  const auto bench = kernels::make("pnpoly");
-  LiveBackend backend(*bench, 0);
-  const auto indices = sample_indices(*bench, 16, 2);
-  static_assert(16 >= LiveBackend::kParallelThreshold);
-  const auto fanned_out = backend.evaluate_batch(indices);
-  ASSERT_EQ(fanned_out.size(), indices.size());
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    const auto serial = backend.evaluate(indices[i]);  // one-config batch
-    EXPECT_DOUBLE_EQ(fanned_out[i].objective(), serial.objective());
-    EXPECT_EQ(fanned_out[i].status, serial.status);
+/// Row-for-row equality of a Runner dataset with serial LiveBackend
+/// evaluation of `expected` indices, in that order.
+void expect_rows_match_serial_live(const Benchmark& bench, const Dataset& ds,
+                                   const std::vector<ConfigIndex>& expected) {
+  ASSERT_EQ(ds.size(), expected.size());
+  LiveBackend backend(bench, 0);
+  const auto serial = backend.evaluate_batch(expected);
+  const auto& params = bench.space().params();
+  for (std::size_t r = 0; r < ds.size(); ++r) {
+    ASSERT_EQ(ds.config_index(r), expected[r]) << "row " << r;
+    EXPECT_EQ(ds.config(r), params.config_at(expected[r])) << "row " << r;
+    EXPECT_EQ(ds.status(r), serial[r].status) << "row " << r;
+    if (ds.row_ok(r)) {
+      EXPECT_DOUBLE_EQ(ds.time_ms(r), serial[r].time_ms) << "row " << r;
+    }
   }
+}
+
+TEST(Runner, FannedOutSweepMatchesSerialLiveBackend) {
+  // Runner owns the one evaluation fan-out: its sweep splits the batch
+  // over the pool and must give the rows serial evaluation gives.
+  const auto bench = kernels::make("gemm");
+  const auto ds = Runner::run_exhaustive(*bench, 0);
+  expect_rows_match_serial_live(*bench, ds,
+                                bench->space().enumerate_constrained());
+}
+
+/// A test-local benchmark over 128^3 = 2^21 configurations, past the
+/// 2^20 materialize limit, so its compiled space is streamed. The one
+/// constraint keeps about one configuration in 500.
+class SparseBenchmark final : public Benchmark {
+ public:
+  SparseBenchmark() {
+    ParamSpace params;
+    params.add(Parameter::range("a", 0, 127))
+        .add(Parameter::range("b", 0, 127))
+        .add(Parameter::range("c", 0, 127));
+    ConstraintSet constraints;
+    constraints.add("(a*b + c) % 499 == 0", {"a", "b", "c"},
+                    [](const Config& c) {
+                      return (c[0] * c[1] + c[2]) % 499 == 0;
+                    });
+    space_ = SearchSpace(std::move(params), std::move(constraints));
+  }
+  const std::string& name() const override { return name_; }
+  const SearchSpace& space() const override { return space_; }
+  std::size_t device_count() const override { return 1; }
+  const std::string& device_name(DeviceIndex) const override { return name_; }
+  Measurement evaluate(const Config& c, DeviceIndex) const override {
+    if (c[2] % 5 == 0) {
+      return Measurement::invalid(MeasureStatus::kInvalidDevice);
+    }
+    return Measurement::valid(1.0 + 0.5 * c[0] + c[1] + 0.25 * c[2]);
+  }
+
+ private:
+  std::string name_ = "sparse";
+  SearchSpace space_;
+};
+
+TEST(Runner, StreamExhaustiveOnAStreamedSpaceMatchesBruteForce) {
+  const SparseBenchmark bench;
+  const auto& space = bench.space();
+  ASSERT_GT(space.cardinality(), ConfigIndex{1} << 20);
+  ASSERT_FALSE(space.compiled().has_valid_set());
+
+  std::vector<ConfigIndex> expected;
+  for (ConfigIndex i = 0; i < space.cardinality(); ++i) {
+    if (space.constraints().satisfied(space.params().config_at(i))) {
+      expected.push_back(i);
+    }
+  }
+  ASSERT_GT(expected.size(), 1000u);
+
+  Dataset streamed(bench.name(), bench.device_name(0),
+                   space.params().param_names());
+  const auto rows = Runner::stream_exhaustive(
+      bench, 0,
+      [&](ConfigIndex index, const Config& config, const Measurement& m) {
+        streamed.add(index, config, m);
+      },
+      333);  // several full batches and a partial last one
+  EXPECT_EQ(rows, expected.size());
+  expect_rows_match_serial_live(bench, streamed, expected);
 }
 
 TEST(ReplayBackend, ServesDatasetMeasurementsExactly) {

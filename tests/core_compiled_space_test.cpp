@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 
 #include "core/search_space.hpp"
@@ -119,6 +120,46 @@ TEST(CompiledSpace, RankSelectRoundTripOnKernelSpaces) {
       const auto back = cs.rank(cs.select(ordinal));
       ASSERT_TRUE(back.has_value()) << name;
       EXPECT_EQ(*back, ordinal) << name;
+    }
+  }
+}
+
+TEST(CompiledSpace, StreamedWalkMatchesBruteForce) {
+  // Streamed compilations (Options{0}) of spaces small enough to check
+  // index by index: the walk's count, enumeration, single-index checks
+  // and sub-range walks against the reference, and against the
+  // materialized valid set of the same space.
+  std::vector<SearchSpace> spaces{divisible_space()};
+  for (const char* name : {"pnpoly", "nbody", "convolution", "gemm"}) {
+    spaces.push_back(kernels::make(name)->space());
+  }
+  for (const auto& space : spaces) {
+    const CompiledSpace streamed(space.params(), space.constraints(),
+                                 CompiledSpace::Options{0});
+    ASSERT_FALSE(streamed.has_valid_set());
+    std::vector<ConfigIndex> expected;
+    for (ConfigIndex i = 0; i < space.cardinality(); ++i) {
+      const bool valid = brute_force_valid(space, i);
+      EXPECT_EQ(streamed.is_valid_index(i), valid) << "index " << i;
+      if (valid) expected.push_back(i);
+    }
+    EXPECT_EQ(streamed.count_valid(), expected.size());
+    EXPECT_EQ(streamed.enumerate_valid(), expected);
+    const auto& materialized = space.compiled();
+    ASSERT_TRUE(materialized.has_valid_set());
+    EXPECT_EQ(materialized.count_valid(), expected.size());
+    EXPECT_EQ(materialized.enumerate_valid(), expected);
+
+    const ConfigIndex lo = space.cardinality() / 3;
+    const ConfigIndex hi = 2 * space.cardinality() / 3 + 1;
+    std::vector<ConfigIndex> in_range;
+    std::copy_if(expected.begin(), expected.end(),
+                 std::back_inserter(in_range),
+                 [&](ConfigIndex i) { return i >= lo && i < hi; });
+    for (const CompiledSpace* cs : {&streamed, &materialized}) {
+      std::vector<ConfigIndex> walked;
+      cs->for_each_valid(lo, hi, [&](ConfigIndex i) { walked.push_back(i); });
+      EXPECT_EQ(walked, in_range);
     }
   }
 }

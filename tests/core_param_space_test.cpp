@@ -133,7 +133,9 @@ TEST_P(MixedRadixSweep, BijectionHoldsForAllIndices) {
     for (std::size_t v = 0; v < radices[p]; ++v) {
       values.push_back(static_cast<Value>(v * 3 + 1));
     }
-    space.add(Parameter::list("p" + std::to_string(p), values));
+    std::string name = "p";
+    name += std::to_string(p);
+    space.add(Parameter::list(std::move(name), values));
   }
   ConfigIndex expected = 1;
   for (const auto r : radices) expected *= r;

@@ -21,6 +21,21 @@ SearchSpace divisible_space() {
   return SearchSpace(std::move(params), std::move(constraints));
 }
 
+/// 128^3 = 2^21 configurations, past the 2^20 materialize limit, so its
+/// compiled space is streamed; about one configuration in 500 is valid.
+SearchSpace sparse_streamed_space() {
+  ParamSpace params;
+  params.add(Parameter::range("a", 0, 127))
+      .add(Parameter::range("b", 0, 127))
+      .add(Parameter::range("c", 0, 127));
+  ConstraintSet constraints;
+  constraints.add("(a*b + c) % 499 == 0", {"a", "b", "c"},
+                  [](const Config& c) {
+                    return (c[0] * c[1] + c[2]) % 499 == 0;
+                  });
+  return SearchSpace(std::move(params), std::move(constraints));
+}
+
 std::uint64_t brute_force_count(const SearchSpace& space) {
   std::uint64_t count = 0;
   for (ConfigIndex i = 0; i < space.cardinality(); ++i) {
@@ -41,8 +56,10 @@ TEST(ConstraintSet, SatisfiedAndFirstViolation) {
 }
 
 TEST(SearchSpace, CountMatchesBruteForce) {
-  const auto space = divisible_space();
-  EXPECT_EQ(space.count_constrained(), brute_force_count(space));
+  for (const auto& space : {divisible_space(), sparse_streamed_space()}) {
+    EXPECT_EQ(space.count_constrained(), brute_force_count(space));
+  }
+  EXPECT_FALSE(sparse_streamed_space().compiled().has_valid_set());
 }
 
 TEST(SearchSpace, CountWithoutConstraintsIsCardinality) {
@@ -53,12 +70,13 @@ TEST(SearchSpace, CountWithoutConstraintsIsCardinality) {
 }
 
 TEST(SearchSpace, EnumerateIsSortedAndValid) {
-  const auto space = divisible_space();
-  const auto valid = space.enumerate_constrained();
-  EXPECT_EQ(valid.size(), space.count_constrained());
-  EXPECT_TRUE(std::is_sorted(valid.begin(), valid.end()));
-  for (const auto idx : valid) {
-    EXPECT_TRUE(space.is_valid(space.params().config_at(idx)));
+  for (const auto& space : {divisible_space(), sparse_streamed_space()}) {
+    const auto valid = space.enumerate_constrained();
+    EXPECT_EQ(valid.size(), brute_force_count(space));
+    EXPECT_TRUE(std::is_sorted(valid.begin(), valid.end()));
+    for (const auto idx : valid) {
+      EXPECT_TRUE(space.is_valid(space.params().config_at(idx)));
+    }
   }
 }
 

@@ -176,7 +176,9 @@ TEST_P(CrossDeviceSweep, Rtx3090IsFastestOrCloseForGoodConfigs) {
   const double t3090 = bench->evaluate(best, 2).time_ms;
   for (const core::DeviceIndex d : {0u, 1u, 3u}) {
     const auto m = bench->evaluate(best, d);
-    if (m.ok()) EXPECT_GT(m.time_ms, 0.95 * t3090);
+    if (m.ok()) {
+      EXPECT_GT(m.time_ms, 0.95 * t3090);
+    }
   }
 }
 

@@ -46,7 +46,9 @@ TEST_P(BenchmarkSpaceSweep, RandomValidConfigsEvaluateDeterministically) {
     const auto a = bench->evaluate(config, i % 4);
     const auto b = bench->evaluate(config, i % 4);
     EXPECT_EQ(a.status, b.status);
-    if (a.ok()) EXPECT_DOUBLE_EQ(a.time_ms, b.time_ms);
+    if (a.ok()) {
+      EXPECT_DOUBLE_EQ(a.time_ms, b.time_ms);
+    }
   }
 }
 
@@ -143,7 +145,9 @@ TEST(DedispSpace, TableSevenUnrollDivisors) {
           "loop_unroll_factor_channel"));
   EXPECT_EQ(unroll.cardinality(), 21u);
   for (const auto v : unroll.values()) {
-    if (v != 0) EXPECT_EQ(DedispBenchmark::kChannels % v, 0);
+    if (v != 0) {
+      EXPECT_EQ(DedispBenchmark::kChannels % v, 0);
+    }
   }
 }
 

@@ -54,7 +54,8 @@ done < <(grep -rnoE '[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b' src bench tests tools)
 echo "all relative links and cited docs resolve"
 
 echo "=== configure + build (${BUILD_DIR}) ==="
-cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release
+# Every target builds warning-free: a new warning fails CI here.
+cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release -DBAT_WERROR=ON
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 
 echo "=== ctest ==="

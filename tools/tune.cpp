@@ -11,8 +11,7 @@
 //
 //   tune grid   --kernels gemm,hotspot --tuners local,annealing,ils
 //               --sessions 16 [--budget 150] [--seed 1000] [--device 0]
-//               [--backend live|replay] [--workers N] [--shards 16]
-//               [--no-shared-cache]
+//               [--backend live|replay] [--workers N] [--no-shared-cache]
 //       Round-robins the kernel x tuner combinations into --sessions
 //       concurrent sessions (seeds increment per session) through one
 //       TuningService; reports per-session results plus the sharded
@@ -48,7 +47,7 @@
 //   tune serve  [--port 8080] [--host 127.0.0.1] [--http-workers 8]
 //               [--event-loops 2] [--max-connections N] [--max-body BYTES]
 //               [--admission-capacity N] [--retry-after SECS]
-//               [--workers N] [--shards 16] [--dataset-dir DIR]
+//               [--workers N] [--dataset-dir DIR]
 //               [--journal-dir DIR [--journal-retain N]
 //                [--journal-checkpoint-bytes BYTES]]
 //               [--log-level debug|info|warn|error|off]
@@ -307,8 +306,8 @@ int cmd_run(const Args& args) {
 
 int cmd_grid(const Args& args) {
   args.require_known({"kernels", "tuners", "sessions", "budget", "seed",
-                      "device", "backend", "workers", "shards",
-                      "no-shared-cache", "dataset-dir"});
+                      "device", "backend", "workers", "no-shared-cache",
+                      "dataset-dir"});
   const auto kernel_names =
       common::split(args.get("kernels", "gemm,hotspot"), ',');
   const auto tuner_names =
@@ -322,7 +321,6 @@ int cmd_grid(const Args& args) {
 
   service::ServiceOptions options;
   options.workers = args.get_size("workers", 0);
-  options.cache_shards = args.get_size("shards", 16);
   options.share_cache = !args.has("no-shared-cache");
   // Replay sessions resolve <kernel>_<device>.{bin,csv} archives from
   // this directory (binary ones from the mmap'ed columns, without
@@ -602,7 +600,7 @@ int cmd_info(const Args& args) {
 
 int cmd_serve(const Args& args) {
   args.require_known({"port", "host", "http-workers", "max-connections",
-                      "max-body", "workers", "shards", "dataset-dir",
+                      "max-body", "workers", "dataset-dir",
                       "event-loops", "admission-capacity", "retry-after",
                       "journal-dir", "journal-retain",
                       "journal-checkpoint-bytes", "log-level"});
@@ -644,7 +642,6 @@ int cmd_serve(const Args& args) {
 
   service::ServiceOptions service_options;
   service_options.workers = args.get_size("workers", 0);
-  service_options.cache_shards = args.get_size("shards", 16);
   service_options.dataset_dir = args.get("dataset-dir", "");
   service_options.journal_dir = args.get("journal-dir", "");
   service_options.journal_retain_completed =
@@ -973,7 +970,7 @@ void print_usage() {
       "          [--backend live|replay] [--dataset path.{csv,bin}]\n"
       "  grid    --kernels a,b --tuners x,y --sessions N [--budget N]\n"
       "          [--seed S] [--device D] [--backend live|replay]\n"
-      "          [--workers W] [--shards P] [--no-shared-cache]\n"
+      "          [--workers W] [--no-shared-cache]\n"
       "          [--dataset-dir DIR]\n"
       "  replay  --dataset path.{csv,bin} [--kernel K] [--tuner T]\n"
       "          [--repeats R]\n"
@@ -985,7 +982,7 @@ void print_usage() {
       "  serve   [--port 8080] [--host H] [--http-workers N]\n"
       "          [--event-loops N] [--max-connections N] [--max-body BYTES]\n"
       "          [--admission-capacity N] [--retry-after SECS]\n"
-      "          [--workers N] [--shards P] [--dataset-dir DIR]\n"
+      "          [--workers N] [--dataset-dir DIR]\n"
       "          [--journal-dir DIR [--journal-retain N]\n"
       "           [--journal-checkpoint-bytes BYTES]]\n"
       "          [--log-level debug|info|warn|error|off]\n"
