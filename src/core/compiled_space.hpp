@@ -18,10 +18,10 @@
 //      bucket. The valid-ordinal domain is what ReplayBackend indexes
 //      and what FFG enumerates.
 //
-// Every "decode each index and run the constraint set" in the program
-// is one walk, for_each_valid(): building the valid set, count_valid()
-// and enumerate_valid() (Table VIII's Constrained and Reduce-
-// Constrained counts, SearchSpace's count and enumeration), the
+// Every pass that decodes indices and runs the full constraint set on
+// each is one walk, for_each_valid(): building the valid set,
+// count_valid() and enumerate_valid() (Table VIII's Constrained and
+// Reduce-Constrained counts, SearchSpace's count and enumeration), the
 // exhaustive Runner sweep, and the single-index checks behind
 // is_valid_index() and rejection sampling. It decodes into one
 // reusable per-thread Config, so none of them allocates per index.
