@@ -33,10 +33,10 @@
 // Ownership / thread-safety — the sharing rule: never construct a
 // CompiledSpace directly; go through SearchSpace::compiled() (borrowed
 // reference) or compiled_shared() (shared ownership, e.g. the service's
-// ShardedMeasurementCache), which compile lazily exactly once and share
-// the instance across SearchSpace copies. Compilation of a materialized
-// space enumerates the whole valid set — wasting that by compiling
-// private copies is the trap. Once built, every query is const and safe
+// ShardedMeasurementCache), which return the one instance the
+// SearchSpace compiled in its constructor and shares with its copies.
+// Compilation of a materialized space enumerates the whole valid set —
+// wasting that by compiling private copies is the trap. Once built, every query is const and safe
 // to call from any number of threads; the one exception is
 // NeighborScratch, which is mutable per-call state — own one scratch
 // per thread, never share it. count_valid() and enumerate_valid() on a

@@ -11,6 +11,11 @@ CachingEvaluator::CachingEvaluator(EvaluationBackend& backend,
     : backend_(&backend), budget_(budget), hooks_(hooks) {
   BAT_EXPECTS(budget > 0);
   memo_.reserve(std::min<std::size_t>(budget, 1 << 16));
+  const auto& compiled = backend.space().compiled();
+  if (compiled.has_valid_set()) {
+    valid_set_ = &compiled;
+    unseen_valid_ = compiled.num_valid();
+  }
 }
 
 double CachingEvaluator::evaluate_index(ConfigIndex index) {
@@ -36,9 +41,13 @@ std::vector<double> CachingEvaluator::evaluate_batch(
       span->set_detail("configs=" + std::to_string(indices.size()));
     }
   }
-  // Batch-boundary cancellation point: both tuner driving styles funnel
-  // every measurement through here, so a set token stops the session
-  // before it spends anything else.
+  // A trace that holds every valid configuration has nothing left to
+  // measure: end the run. Checked before the token, so such a session
+  // reports completed rather than cancelled.
+  if (unseen_valid_ == 0) throw BudgetExhausted();
+  // Batch-boundary cancellation point: every tuner measurement funnels
+  // through here, so a set token stops the session before it spends
+  // anything else.
   if (hooks_.cancel && hooks_.cancel->load(std::memory_order_relaxed)) {
     cancelled_ = true;
     throw EvaluationCancelled();
@@ -70,6 +79,9 @@ std::vector<double> CachingEvaluator::evaluate_batch(
     for (std::size_t i = 0; i < misses.size(); ++i) {
       memo_.emplace(misses[i], measured[i].objective());
       trace_.push_back(TraceEntry{misses[i], measured[i].objective()});
+      if (valid_set_ != nullptr && valid_set_->rank(misses[i])) {
+        --unseen_valid_;
+      }
     }
   }
   if (truncated) throw BudgetExhausted();

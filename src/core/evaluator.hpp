@@ -6,13 +6,13 @@
 // the paper's convergence plots (Fig 2) are "best objective so far vs
 // number of *distinct* function evaluations".
 //
-// Tuners drive it by ConfigIndex, two ways:
-//   * exception-driven: evaluate_index(index) one evaluation at a time
-//     until BudgetExhausted is thrown (the classic single-point tuners);
-//   * batched ask/tell: evaluate_batch(indices) sends a whole population
-//     generation through the backend in one call. A batch crossing the
-//     budget boundary is truncated so the trace ends exactly at the
-//     budget, byte-identical to charging one evaluation at a time.
+// Tuners drive it by ConfigIndex until it throws BudgetExhausted:
+//   * evaluate_index(index), one evaluation at a time (the single-point
+//     tuners);
+//   * evaluate_batch(indices), a whole population generation in one
+//     call. A batch crossing the budget boundary is truncated so the
+//     trace ends exactly at the budget, byte-identical to charging one
+//     evaluation at a time.
 // evaluate_index is a one-element evaluate_batch, and each call sends
 // the backend one evaluate_batch at most: the call's first-occurrence
 // misses, or — with a shared cache hooked in — the misses this session
@@ -22,6 +22,12 @@
 // Swapping the backend (live vs replay) never changes what a tuner
 // observes, only where the measurements come from.
 //
+// On a materialized space (CompiledSpace::has_valid_set) the evaluator
+// also counts the valid configurations not yet in the trace. Once every
+// one of them is traced, nothing valid is left to measure, so every
+// call throws BudgetExhausted: a session whose budget exceeds the valid
+// set ends when it has seen the whole set instead of running for ever.
+//
 // Ownership / thread-safety: a CachingEvaluator is per-session state
 // (budget, memo, trace) driven by exactly one thread at a time; it
 // borrows the backend and anything the optional EvaluationHooks point at
@@ -29,6 +35,7 @@
 // Concurrency across sessions lives behind those hooks, not here.
 #pragma once
 
+#include <limits>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -51,7 +58,8 @@ class CachingEvaluator {
                    EvaluationHooks hooks = {});
 
   /// Evaluates (or recalls) one configuration. Throws BudgetExhausted
-  /// when a cache miss would exceed the budget.
+  /// when a cache miss would exceed the budget, or when the trace holds
+  /// every valid configuration of a materialized space.
   double evaluate_index(ConfigIndex index);
 
   /// Evaluates a batch of configurations; results align with `indices`.
@@ -73,8 +81,10 @@ class CachingEvaluator {
   /// EvaluationCancelled was thrown): the run stopped *because* of the
   /// token, as opposed to ending naturally below budget.
   [[nodiscard]] bool cancelled() const noexcept { return cancelled_; }
+  /// True once the budget is spent or, on a materialized space, the
+  /// trace holds every valid configuration.
   [[nodiscard]] bool exhausted() const noexcept {
-    return trace_.size() >= budget_;
+    return trace_.size() >= budget_ || unseen_valid_ == 0;
   }
 
   /// Chronological distinct-evaluation trace.
@@ -103,6 +113,11 @@ class CachingEvaluator {
 
   EvaluationBackend* backend_;
   std::size_t budget_;
+  /// The space's valid set when it is materialized, else null; each
+  /// recorded miss costs one rank probe to keep unseen_valid_ exact.
+  const CompiledSpace* valid_set_ = nullptr;
+  /// Valid configurations not yet in the trace (never 0 when streamed).
+  std::uint64_t unseen_valid_ = std::numeric_limits<std::uint64_t>::max();
   EvaluationHooks hooks_;
   bool cancelled_ = false;
   std::unordered_map<ConfigIndex, double> memo_;  // index -> objective

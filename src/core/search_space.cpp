@@ -7,17 +7,10 @@
 
 namespace bat::core {
 
-const CompiledSpace& SearchSpace::compiled() const {
-  return *compiled_shared();
-}
-
-std::shared_ptr<const CompiledSpace> SearchSpace::compiled_shared() const {
-  std::lock_guard<std::mutex> lock(compiled_mutex_);
-  if (!compiled_) {
-    compiled_ = std::make_shared<const CompiledSpace>(space_, constraints_);
-  }
-  return compiled_;
-}
+SearchSpace::SearchSpace(ParamSpace space, ConstraintSet constraints)
+    : space_(std::move(space)),
+      constraints_(std::move(constraints)),
+      compiled_(std::make_shared<const CompiledSpace>(space_, constraints_)) {}
 
 std::uint64_t SearchSpace::count_constrained() const {
   if (constraints_.empty()) return space_.cardinality();

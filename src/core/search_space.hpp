@@ -15,16 +15,14 @@
 // constraint plan and (for enumerable spaces) the CSR valid-index set.
 // Counting and enumeration forward to its one constrained walk.
 //
-// Ownership / thread-safety: SearchSpace is a copyable value, but all
-// copies share one lazily-compiled CompiledSpace — compiled() /
-// compiled_shared() are thread-safe and compile exactly once; always
-// obtain the compiled core through them (see the sharing rule in
-// core/compiled_space.hpp). The space itself is immutable after
-// construction and safe for concurrent reads.
+// Ownership / thread-safety: SearchSpace is an immutable, copyable
+// value. The constructor compiles the space once and every copy shares
+// that CompiledSpace; always obtain the compiled core through
+// compiled() / compiled_shared() (see the sharing rule in
+// core/compiled_space.hpp). Safe for concurrent reads.
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -37,36 +35,8 @@ class CompiledSpace;
 
 class SearchSpace {
  public:
-  SearchSpace() = default;
-  SearchSpace(ParamSpace space, ConstraintSet constraints)
-      : space_(std::move(space)), constraints_(std::move(constraints)) {}
-
-  // The compiled cache is immutable and self-contained, so copies can
-  // share it; the mutex member just isn't copyable by default.
-  SearchSpace(const SearchSpace& other)
-      : space_(other.space_),
-        constraints_(other.constraints_),
-        compiled_(other.compiled_snapshot()) {}
-  SearchSpace(SearchSpace&& other) noexcept
-      : space_(std::move(other.space_)),
-        constraints_(std::move(other.constraints_)),
-        compiled_(other.compiled_snapshot()) {}
-  SearchSpace& operator=(const SearchSpace& other) {
-    if (this != &other) {
-      space_ = other.space_;
-      constraints_ = other.constraints_;
-      set_compiled(other.compiled_snapshot());
-    }
-    return *this;
-  }
-  SearchSpace& operator=(SearchSpace&& other) noexcept {
-    if (this != &other) {
-      space_ = std::move(other.space_);
-      constraints_ = std::move(other.constraints_);
-      set_compiled(other.compiled_snapshot());
-    }
-    return *this;
-  }
+  /// Compiles the space; every copy shares that one CompiledSpace.
+  SearchSpace(ParamSpace space, ConstraintSet constraints);
 
   [[nodiscard]] const ParamSpace& params() const noexcept { return space_; }
   [[nodiscard]] const ConstraintSet& constraints() const noexcept {
@@ -77,17 +47,19 @@ class SearchSpace {
     return space_.cardinality();
   }
 
-  /// The index-space core, compiled on first use (thread-safe) and
-  /// shared by every copy of this SearchSpace. Stays valid even if this
-  /// SearchSpace is destroyed (callers may keep the reference only while
-  /// either the SearchSpace or another owner of the shared compilation
-  /// is alive; backends cache the pointer under that contract).
-  [[nodiscard]] const CompiledSpace& compiled() const;
+  /// The index-space core, shared by every copy of this SearchSpace.
+  /// Stays valid even if this SearchSpace is destroyed (callers may keep
+  /// the reference only while either the SearchSpace or another owner of
+  /// the shared compilation is alive; backends cache the pointer under
+  /// that contract).
+  [[nodiscard]] const CompiledSpace& compiled() const { return *compiled_; }
 
   /// Shared-ownership form of compiled(): holders (e.g. ReplayBackend)
   /// keep the compilation alive independently of this SearchSpace's
   /// lifetime or later reassignment.
-  [[nodiscard]] std::shared_ptr<const CompiledSpace> compiled_shared() const;
+  [[nodiscard]] std::shared_ptr<const CompiledSpace> compiled_shared() const {
+    return compiled_;
+  }
 
   [[nodiscard]] bool is_valid(const Config& config) const {
     return space_.contains(config) && constraints_.satisfied(config);
@@ -118,19 +90,9 @@ class SearchSpace {
   [[nodiscard]] ConfigIndex random_valid_index(common::Rng& rng) const;
 
  private:
-  [[nodiscard]] std::shared_ptr<const CompiledSpace> compiled_snapshot() const {
-    std::lock_guard<std::mutex> lock(compiled_mutex_);
-    return compiled_;
-  }
-  void set_compiled(std::shared_ptr<const CompiledSpace> compiled) {
-    std::lock_guard<std::mutex> lock(compiled_mutex_);
-    compiled_ = std::move(compiled);
-  }
-
   ParamSpace space_;
   ConstraintSet constraints_;
-  mutable std::shared_ptr<const CompiledSpace> compiled_;
-  mutable std::mutex compiled_mutex_;
+  std::shared_ptr<const CompiledSpace> compiled_;
 };
 
 }  // namespace bat::core

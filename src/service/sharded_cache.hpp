@@ -7,10 +7,10 @@
 // materialized: ordinals are dense and uniformly spread over shards by a
 // cheap modulo, and two sessions probing the same configuration always
 // collide on the same key regardless of how they produced the index.
-// Invalid indices (tuners do propose them: crossover children, PSO
-// snapping) key as num_valid + raw index — disjoint from the ordinal
-// range because materialized spaces have cardinality <= 2^20. Streamed
-// (huge) spaces key by raw ConfigIndex directly.
+// The built-in tuners evaluate only valid indices; an invalid one (from
+// a custom tuner) keys as num_valid + raw index — disjoint from the
+// ordinal range because materialized spaces have cardinality <= 2^20.
+// Streamed (huge) spaces key by raw ConfigIndex directly.
 //
 // Concurrency: each shard owns one mutex, one condition variable and one
 // hash map; claim/publish/abandon touch exactly one shard, so 16+ shards

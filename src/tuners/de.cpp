@@ -11,104 +11,93 @@ constexpr std::size_t kPopulation = 20;
 static_assert(kPopulation >= 4, "each member needs three distinct partners");
 constexpr double kWeight = 0.6;         // F
 constexpr double kCrossoverRate = 0.8;  // CR
+constexpr std::size_t kInvalidSlot = static_cast<std::size_t>(-1);
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
-void DifferentialEvolution::start(const core::SearchSpace& space,
-                                  common::Rng& rng) {
-  compiled_ = &space.compiled();
-  const std::size_t dims = compiled_->num_params();
+void DifferentialEvolution::optimize(core::CachingEvaluator& evaluator,
+                                     common::Rng& rng) {
+  const auto& compiled = evaluator.space().compiled();
+  const std::size_t dims = compiled.num_params();
+  constexpr std::size_t n = kPopulation;
 
-  population_.assign(kPopulation, std::vector<double>(dims));
-  objective_.assign(kPopulation, std::numeric_limits<double>::infinity());
-  trials_.clear();
-  slots_.clear();
-  seeded_ = false;
-
+  std::vector<std::vector<double>> population(n, std::vector<double>(dims));
+  std::vector<double> objective(n, kInf);
   std::vector<std::uint32_t> digits;
-  for (auto& member : population_) {
-    compiled_->decode_digits(compiled_->random_valid_index(rng), digits);
+  for (auto& member : population) {
+    compiled.decode_digits(compiled.random_valid_index(rng), digits);
     std::copy(digits.begin(), digits.end(), member.begin());
   }
-}
 
-std::vector<core::ConfigIndex> DifferentialEvolution::breed(common::Rng& rng) {
-  const std::size_t dims = compiled_->num_params();
-  const std::size_t n = population_.size();
-
+  // One generation: trials[i] competes with population[i]; batch holds
+  // the constraint-valid trials to evaluate and slots maps each member to
+  // its trial's batch slot (kInvalidSlot for a constraint violation).
+  std::vector<std::vector<double>> trials;
   std::vector<core::ConfigIndex> batch;
-  trials_.assign(n, std::vector<double>(dims));
-  slots_.assign(n, kInvalidSlot);
+  std::vector<std::size_t> slots;
 
-  for (std::size_t i = 0; i < n; ++i) {
-    // Pick three distinct partners != i.
-    std::size_t a, b, c;
-    do { a = rng.next_below(n); } while (a == i);
-    do { b = rng.next_below(n); } while (b == i || b == a);
-    do { c = rng.next_below(n); } while (c == i || c == a || c == b);
+  const auto breed = [&] {
+    trials.assign(n, std::vector<double>(dims));
+    batch.clear();
+    slots.assign(n, kInvalidSlot);
+    for (std::size_t i = 0; i < n; ++i) {
+      // Pick three distinct partners != i.
+      std::size_t a, b, c;
+      do { a = rng.next_below(n); } while (a == i);
+      do { b = rng.next_below(n); } while (b == i || b == a);
+      do { c = rng.next_below(n); } while (c == i || c == a || c == b);
 
-    auto& trial = trials_[i];
-    const std::size_t forced = rng.next_below(dims);
-    for (std::size_t p = 0; p < dims; ++p) {
-      if (p == forced || rng.uniform() < kCrossoverRate) {
-        trial[p] = population_[a][p] +
-                   kWeight * (population_[b][p] - population_[c][p]);
-      } else {
-        trial[p] = population_[i][p];
+      auto& trial = trials[i];
+      const std::size_t forced = rng.next_below(dims);
+      for (std::size_t p = 0; p < dims; ++p) {
+        if (p == forced || rng.uniform() < kCrossoverRate) {
+          trial[p] = population[a][p] +
+                     kWeight * (population[b][p] - population[c][p]);
+        } else {
+          trial[p] = population[i][p];
+        }
+      }
+      const core::ConfigIndex index = snap(compiled, trial);
+      if (compiled.is_valid_index(index)) {
+        slots[i] = batch.size();
+        batch.push_back(index);
       }
     }
-    const core::ConfigIndex index = snap(*compiled_, trial);
-    if (compiled_->is_valid_index(index)) {
-      slots_[i] = batch.size();
-      batch.push_back(index);
+  };
+
+  // Keeps each trial that scores no worse than its member.
+  const auto select = [&](const std::vector<double>& objectives) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double obj =
+          slots[i] == kInvalidSlot ? kInf : objectives[slots[i]];
+      if (obj <= objective[i]) {
+        population[i] = trials[i];
+        objective[i] = obj;
+      }
     }
-  }
-  return batch;
-}
+  };
 
-void DifferentialEvolution::select(const std::vector<double>& objectives) {
-  for (std::size_t i = 0; i < population_.size(); ++i) {
-    const double obj = slots_[i] == kInvalidSlot
-                           ? std::numeric_limits<double>::infinity()
-                           : objectives[slots_[i]];
-    if (obj <= objective_[i]) {
-      population_[i] = trials_[i];
-      objective_[i] = obj;
+  // The first generation is the initial population itself (valid by
+  // construction); selection keeps every member (obj <= +inf).
+  trials = population;
+  for (std::size_t i = 0; i < n; ++i) {
+    slots.push_back(batch.size());
+    batch.push_back(snap(compiled, population[i]));
+  }
+  std::size_t stalled = 0;
+  while (true) {
+    select(evaluate_generation(evaluator, batch, stalled));
+    breed();
+    // An all-invalid generation evaluates nothing: apply the (+inf)
+    // trial selection directly and breed again (bounded — a population
+    // frozen in an invalid region will never recover; end the run).
+    for (int attempts = 0; batch.empty() && attempts < 1000; ++attempts) {
+      select({});
+      breed();
     }
+    if (batch.empty()) return;
   }
-}
-
-std::vector<core::ConfigIndex> DifferentialEvolution::ask(std::size_t,
-                                                          common::Rng& rng) {
-  if (!seeded_) {
-    // Evaluate the initial population (valid by construction).
-    seeded_ = true;
-    std::vector<core::ConfigIndex> batch;
-    batch.reserve(population_.size());
-    slots_.assign(population_.size(), kInvalidSlot);
-    for (std::size_t i = 0; i < population_.size(); ++i) {
-      slots_[i] = batch.size();
-      batch.push_back(snap(*compiled_, population_[i]));
-    }
-    trials_ = population_;  // selection keeps them (obj <= +inf)
-    return batch;
-  }
-
-  auto batch = breed(rng);
-  // An all-invalid generation evaluates nothing: apply the (+inf) trial
-  // selection directly and breed again (bounded — a population frozen in
-  // an invalid region will never recover; an empty batch ends the run).
-  for (int attempts = 0; batch.empty() && attempts < 1000; ++attempts) {
-    select({});
-    batch = breed(rng);
-  }
-  return batch;
-}
-
-void DifferentialEvolution::tell(const std::vector<core::ConfigIndex>&,
-                                 const std::vector<double>& objectives,
-                                 common::Rng&) {
-  select(objectives);
 }
 
 }  // namespace bat::tuners

@@ -1,6 +1,6 @@
 // Pure random search over valid configurations — the paper's convergence
-// baseline (Fig 2). Batched: proposals are independent, so whole blocks
-// of samples are evaluated through the backend in parallel. The trace is
+// baseline (Fig 2). Proposals are independent, so each generation is a
+// block of samples evaluated in one evaluator call. The trace is
 // identical to sampling one configuration at a time (same rng stream,
 // first-occurrence charging).
 //
@@ -19,15 +19,8 @@ class RandomSearch final : public Tuner {
     return kName;
   }
 
-  [[nodiscard]] bool batched() const override { return true; }
-
  protected:
-  void start(const core::SearchSpace& space, common::Rng& rng) override;
-  std::vector<core::ConfigIndex> ask(std::size_t remaining,
-                                     common::Rng& rng) override;
-
- private:
-  const core::CompiledSpace* compiled_ = nullptr;
+  void optimize(core::CachingEvaluator& evaluator, common::Rng& rng) override;
 };
 
 }  // namespace bat::tuners

@@ -24,35 +24,18 @@ void Tuner::run(core::CachingEvaluator& evaluator, common::Rng& rng) {
   }
 }
 
-void Tuner::optimize(core::CachingEvaluator& evaluator, common::Rng& rng) {
-  // Default body: drive the ask/tell protocol. Exception-driven tuners
-  // override optimize() instead and never reach this.
-  BAT_EXPECTS(batched());
-  start(evaluator.space(), rng);
-  // A fully converged population can keep proposing already-cached
-  // configurations forever without consuming budget; stop after enough
-  // consecutive generations make no progress on the trace.
+std::vector<double> evaluate_generation(
+    core::CachingEvaluator& evaluator, std::span<const core::ConfigIndex> batch,
+    std::size_t& stalled) {
   constexpr std::size_t kMaxStallRounds = 128;
-  std::size_t stalled = 0;
-  while (!evaluator.exhausted() && stalled < kMaxStallRounds) {
-    const std::size_t remaining = evaluator.budget() - evaluator.evaluations();
-    const auto batch = ask(remaining, rng);
-    if (batch.empty()) break;
-    const std::size_t before = evaluator.evaluations();
-    const auto objectives = evaluator.evaluate_batch(batch);
-    tell(batch, objectives, rng);
-    stalled = evaluator.evaluations() == before ? stalled + 1 : 0;
+  if (evaluator.exhausted() || stalled >= kMaxStallRounds) {
+    throw core::BudgetExhausted();
   }
+  const std::size_t before = evaluator.evaluations();
+  auto objectives = evaluator.evaluate_batch(batch);
+  stalled = evaluator.evaluations() == before ? stalled + 1 : 0;
+  return objectives;
 }
-
-void Tuner::start(const core::SearchSpace&, common::Rng&) {}
-
-std::vector<core::ConfigIndex> Tuner::ask(std::size_t, common::Rng&) {
-  return {};
-}
-
-void Tuner::tell(const std::vector<core::ConfigIndex>&,
-                 const std::vector<double>&, common::Rng&) {}
 
 core::ConfigIndex snap(const core::CompiledSpace& compiled,
                        const std::vector<double>& position) {

@@ -4,23 +4,18 @@
 // the search space behind it — exactly the contract the paper defines so
 // that Optuna/SMAC3/Kernel Tuner/KTT-style optimizers can drive any BAT
 // benchmark. Tuners speak ConfigIndex: they draw, step and recombine in
-// the compiled index/digit space (core/compiled_space.hpp) and decode
-// values only where they need them (the surrogate's feature rows). Two
-// driving styles coexist:
+// the compiled index space (core/compiled_space.hpp) and decode values
+// only where they need them (the surrogate's feature rows).
 //
-//   * exception-driven (default): override optimize() and call
-//     evaluator.evaluate_index(index) until it throws BudgetExhausted,
-//     which run() treats as the stop signal.
-//   * batched ask/tell: override batched() to return true plus
-//     start()/ask()/tell(). The framework then loops
-//         batch = ask(remaining, rng)            // vector<ConfigIndex>
-//         objectives = evaluator.evaluate_batch(batch)
-//         tell(batch, objectives, rng)
-//     so population tuners (random, genetic, pso, de) evaluate whole
-//     generations through the backend in one parallel batch.
+// Every tuner is one optimize() loop that drives the evaluator until it
+// throws BudgetExhausted, which run() treats as the stop signal.
+// Single-point tuners call evaluator.evaluate_index(index); population
+// tuners (random, genetic, pso, de) evaluate each generation through
+// evaluate_generation(), which also ends a run whose generations have
+// stopped adding to the trace.
 //
-// Both styles stop exactly at the evaluation budget, and neither knows
-// (or cares) whether measurements are computed live or replayed from a
+// Runs stop exactly at the evaluation budget, and no tuner knows (or
+// cares) whether measurements are computed live or replayed from a
 // dataset — that is the EvaluationBackend's business.
 //
 // Ownership / thread-safety: a Tuner instance is single-run mutable
@@ -34,6 +29,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,36 +46,26 @@ class Tuner {
 
   [[nodiscard]] virtual const std::string& name() const = 0;
 
-  /// True if this tuner implements the batched ask/tell protocol.
-  [[nodiscard]] virtual bool batched() const { return false; }
-
-  /// Optimizes until the budget is exhausted. Implementations must treat
-  /// core::BudgetExhausted as a normal termination signal.
+  /// Optimizes until the evaluator throws BudgetExhausted (the budget is
+  /// spent, the valid set is seen, or a population stalled).
   void run(core::CachingEvaluator& evaluator, common::Rng& rng);
 
  protected:
-  /// Exception-driven algorithm body; may simply let BudgetExhausted
-  /// propagate. The default drives the ask/tell protocol (only valid for
-  /// batched tuners).
-  virtual void optimize(core::CachingEvaluator& evaluator, common::Rng& rng);
-
-  // --- batched ask/tell protocol (batched() == true) ---
-
-  /// Resets internal state for a fresh run over `space`.
-  virtual void start(const core::SearchSpace& space, common::Rng& rng);
-
-  /// Proposes the next batch of configurations to evaluate. `remaining`
-  /// is the number of distinct evaluations left in the budget (a hint:
-  /// proposing more is allowed, the evaluator truncates at the
-  /// boundary). An empty batch ends the run.
-  virtual std::vector<core::ConfigIndex> ask(std::size_t remaining,
-                                             common::Rng& rng);
-
-  /// Receives the objectives for the batch returned by the previous
-  /// ask() (objectives[i] belongs to batch[i]).
-  virtual void tell(const std::vector<core::ConfigIndex>& batch,
-                    const std::vector<double>& objectives, common::Rng& rng);
+  /// The algorithm body: drives the evaluator and may simply let
+  /// BudgetExhausted propagate.
+  virtual void optimize(core::CachingEvaluator& evaluator,
+                        common::Rng& rng) = 0;
 };
+
+/// Evaluates one generation of a population tuner; results align with
+/// `batch`. `stalled` counts the caller's consecutive generations that
+/// added nothing to the trace (start it at 0). Throws BudgetExhausted
+/// instead of evaluating once the evaluator is exhausted or after 128
+/// such generations: a converged population can keep proposing cached
+/// configurations for ever without spending budget.
+[[nodiscard]] std::vector<double> evaluate_generation(
+    core::CachingEvaluator& evaluator, std::span<const core::ConfigIndex> batch,
+    std::size_t& stalled);
 
 /// The configuration nearest a continuous per-parameter digit position
 /// (each coordinate clamped into [0, radix - 1] and rounded): how the

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -103,18 +104,6 @@ TEST(Runner, FannedOutSweepMatchesSerialLiveBackend) {
 /// constraint keeps about one configuration in 500.
 class SparseBenchmark final : public Benchmark {
  public:
-  SparseBenchmark() {
-    ParamSpace params;
-    params.add(Parameter::range("a", 0, 127))
-        .add(Parameter::range("b", 0, 127))
-        .add(Parameter::range("c", 0, 127));
-    ConstraintSet constraints;
-    constraints.add("(a*b + c) % 499 == 0", {"a", "b", "c"},
-                    [](const Config& c) {
-                      return (c[0] * c[1] + c[2]) % 499 == 0;
-                    });
-    space_ = SearchSpace(std::move(params), std::move(constraints));
-  }
   const std::string& name() const override { return name_; }
   const SearchSpace& space() const override { return space_; }
   std::size_t device_count() const override { return 1; }
@@ -127,8 +116,21 @@ class SparseBenchmark final : public Benchmark {
   }
 
  private:
+  static SearchSpace make_space() {
+    ParamSpace params;
+    params.add(Parameter::range("a", 0, 127))
+        .add(Parameter::range("b", 0, 127))
+        .add(Parameter::range("c", 0, 127));
+    ConstraintSet constraints;
+    constraints.add("(a*b + c) % 499 == 0", {"a", "b", "c"},
+                    [](const Config& c) {
+                      return (c[0] * c[1] + c[2]) % 499 == 0;
+                    });
+    return SearchSpace(std::move(params), std::move(constraints));
+  }
+
   std::string name_ = "sparse";
-  SearchSpace space_;
+  SearchSpace space_ = make_space();
 };
 
 TEST(Runner, StreamExhaustiveOnAStreamedSpaceMatchesBruteForce) {
@@ -274,6 +276,41 @@ TEST(CachingEvaluator, BatchExactlyFillingBudgetDoesNotThrow) {
   EXPECT_NO_THROW((void)eval.evaluate_batch(std::span(distinct).first(5)));
   EXPECT_EQ(eval.evaluations(), 5u);
   EXPECT_TRUE(eval.exhausted());
+}
+
+TEST(CachingEvaluator, EndsOnceTheTraceHoldsTheWholeValidSet) {
+  // nbody's 3,584 valid configurations and one invalid index, against
+  // a budget of 5,000: the invalid miss is traced but counts for
+  // nothing, and the last valid miss ends the session even though the
+  // budget is not spent and the cancellation token is set.
+  const auto bench = kernels::make("nbody");
+  const auto& compiled = bench->space().compiled();
+  auto indices = compiled.valid_indices();
+  ConfigIndex invalid = 0;
+  while (compiled.rank(invalid)) ++invalid;
+  const ConfigIndex last = indices.back();
+  indices.back() = invalid;
+
+  LiveBackend live(*bench, 0);
+  std::atomic<bool> cancel{false};
+  CachingEvaluator eval(live, 5000, EvaluationHooks{nullptr, &cancel});
+  (void)eval.evaluate_batch(indices);
+  EXPECT_EQ(eval.evaluations(), indices.size());
+  EXPECT_FALSE(eval.exhausted());
+  (void)eval.evaluate_index(last);
+  EXPECT_EQ(eval.evaluations(), indices.size() + 1);
+  EXPECT_TRUE(eval.exhausted());
+
+  cancel.store(true);
+  try {
+    (void)eval.evaluate_index(last);  // a hit: still refused
+    ADD_FAILURE() << "a complete trace must end the session";
+  } catch (const EvaluationCancelled&) {
+    ADD_FAILURE() << "a complete trace reports completed, not cancelled";
+  } catch (const BudgetExhausted&) {
+  }
+  EXPECT_FALSE(eval.cancelled());
+  EXPECT_EQ(eval.evaluations(), indices.size() + 1);
 }
 
 // What the backend is sent: each evaluator call sends at most one

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <map>
 #include <sstream>
+#include <utility>
 
 #include "core/compiled_space.hpp"
 #include "core/runner.hpp"
@@ -243,12 +244,61 @@ TEST_P(AllTunersSweep, LiveAndReplayTracesAreIdentical) {
   }
 }
 
-TEST(BatchedTuners, PopulationTunersUseAskTell) {
-  for (const auto& name : {"random", "genetic", "pso", "de"}) {
-    EXPECT_TRUE(make_tuner(name)->batched()) << name;
+TEST(EvaluateGeneration, EndsTheRunWhenExhaustedOrStalled) {
+  const auto bench = kernels::make("pnpoly");
+  core::LiveBackend live(*bench, 0);
+  const std::vector<core::ConfigIndex> batch = {1, 2};
+  {
+    // Cached configurations stay free after the budget is spent, but no
+    // generation is evaluated once the evaluator is exhausted.
+    core::CachingEvaluator evaluator(live, 2);
+    std::size_t stalled = 0;
+    EXPECT_EQ(evaluate_generation(evaluator, batch, stalled).size(), 2u);
+    EXPECT_EQ(stalled, 0u);
+    EXPECT_NO_THROW((void)evaluator.evaluate_batch(batch));
+    EXPECT_THROW((void)evaluate_generation(evaluator, batch, stalled),
+                 core::BudgetExhausted);
   }
-  for (const auto& name : {"local", "annealing", "ils", "surrogate"}) {
-    EXPECT_FALSE(make_tuner(name)->batched()) << name;
+  {
+    // 128 consecutive generations that add nothing end the run; one
+    // that adds an entry resets the count.
+    core::CachingEvaluator evaluator(live, 10);
+    std::size_t stalled = 0;
+    (void)evaluate_generation(evaluator, batch, stalled);
+    for (int i = 0; i < 127; ++i) {
+      (void)evaluate_generation(evaluator, batch, stalled);
+    }
+    EXPECT_EQ(stalled, 127u);
+    const std::vector<core::ConfigIndex> fresh = {3};
+    (void)evaluate_generation(evaluator, fresh, stalled);
+    EXPECT_EQ(stalled, 0u);
+    for (int i = 0; i < 128; ++i) {
+      (void)evaluate_generation(evaluator, batch, stalled);
+    }
+    EXPECT_THROW((void)evaluate_generation(evaluator, batch, stalled),
+                 core::BudgetExhausted);
+    EXPECT_EQ(evaluator.evaluations(), 3u);
+  }
+}
+
+TEST(AllTuners, EndBelowABudgetLargerThanTheValidSet) {
+  // nbody has 3,584 valid configurations, fewer than the budget. The
+  // single-point tuners revisit cached configurations for ever unless
+  // the evaluator ends the run once the trace holds the whole valid
+  // set; random sees the whole set too, while genetic, pso and de
+  // converge first and end through evaluate_generation's stall rule or
+  // an empty generation. The counts are those of
+  // `tune run --kernel nbody --budget 5000` (seed 42).
+  const auto bench = kernels::make("nbody");
+  ASSERT_EQ(bench->space().count_constrained(), 3584u);
+  const std::pair<const char*, std::size_t> expected[] = {
+      {"local", 3584},   {"annealing", 3584}, {"ils", 3584}, {"random", 3584},
+      {"genetic", 3561}, {"pso", 134},        {"de", 413}};
+  for (const auto& [name, entries] : expected) {
+    auto tuner = make_tuner(name);
+    const auto run = run_tuner(*tuner, *bench, 0, 5000, 42);
+    EXPECT_EQ(run.trace.size(), entries) << name;
+    EXPECT_FALSE(run.cancelled) << name;
   }
 }
 
