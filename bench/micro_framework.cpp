@@ -12,9 +12,7 @@
 
 #include <cmath>
 #include <filesystem>
-#include <map>
 #include <memory>
-#include <mutex>
 
 #include "analysis/ffg.hpp"
 #include "analysis/pagerank.hpp"
@@ -30,7 +28,6 @@
 #include "ml/gbdt.hpp"
 #include "net/http.hpp"
 #include "service/session_json.hpp"
-#include "service/sharded_cache.hpp"
 #include "service/tuning_service.hpp"
 
 namespace {
@@ -394,55 +391,6 @@ void BM_ApiGetFinishedSession(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes));
 }
 BENCHMARK(BM_ApiGetFinishedSession);
-
-// ---------------------------------------------- sharded measurement cache --
-// service::ShardedMeasurementCache under the access pattern of a long
-// grid run: every session claim()s mostly-ready entries (cross-session
-// hits) spread over the key range. shards = 1 *is* the single-mutex
-// baseline — identical code, one mutex — so the SingleMutex/Sharded
-// pair at 16 threads isolates exactly what sharding buys once
-// concurrent sessions hammer the same workload cache.
-
-constexpr std::uint64_t kCacheKeys = 1 << 14;
-
-service::ShardedMeasurementCache& prepared_cache(std::size_t shards) {
-  static std::mutex mutex;
-  static std::map<std::size_t,
-                  std::unique_ptr<service::ShardedMeasurementCache>>
-      caches;
-  std::lock_guard lock(mutex);
-  auto& cache = caches[shards];
-  if (!cache) {
-    // No CompiledSpace: raw-index keys, so the benchmark measures the
-    // shard/lock machinery, not rank().
-    cache = std::make_unique<service::ShardedMeasurementCache>(nullptr,
-                                                               shards);
-    for (std::uint64_t k = 0; k < kCacheKeys; ++k) {
-      (void)cache->claim(k);
-      cache->publish(k, core::Measurement::valid(1.0 + 0.001 * k));
-    }
-  }
-  return *cache;
-}
-
-void BM_CacheClaims(benchmark::State& state, std::size_t shards) {
-  auto& cache = prepared_cache(shards);
-  common::Rng rng(100 + static_cast<std::uint64_t>(state.thread_index()));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.claim(rng.next_below(kCacheKeys)).state);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-void BM_CacheUncontended(benchmark::State& state) { BM_CacheClaims(state, 16); }
-void BM_CacheSingleMutex16Threads(benchmark::State& state) {
-  BM_CacheClaims(state, 1);
-}
-void BM_CacheSharded16Threads(benchmark::State& state) {
-  BM_CacheClaims(state, 16);
-}
-BENCHMARK(BM_CacheUncontended);
-BENCHMARK(BM_CacheSingleMutex16Threads)->Threads(16)->UseRealTime();
-BENCHMARK(BM_CacheSharded16Threads)->Threads(16)->UseRealTime();
 
 }  // namespace
 

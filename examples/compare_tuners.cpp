@@ -18,9 +18,8 @@
 //
 // The whole grid runs as concurrent sessions of one
 // service::TuningService: every (tuner, device, repeat) is a session,
-// sessions on the same device share one workload (benchmark + backend +
-// sharded measurement cache), so tuners revisiting each other's
-// configurations dedupe evaluations — the cache footer shows how often.
+// and sessions on the same device share one workload (benchmark +
+// backend) while each evaluates on its own.
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -78,8 +77,7 @@ int main(int argc, char** argv) {
   }
 
   // Every (tuner, device, repeat) run is an independent session; the
-  // service's worker pool executes them concurrently and sessions on
-  // the same device share one measurement cache.
+  // service's worker pool executes them concurrently.
   const auto names = tuners::tuner_names();
   const std::size_t devices = benchmark->device_count();
   std::vector<service::SessionSpec> specs;
@@ -141,12 +139,6 @@ int main(int argc, char** argv) {
   if (exhaustive) {
     std::printf("(%% = achieved fraction of the true optimum)\n");
   }
-  const auto stats = svc.cache_stats();
-  std::printf("shared cache: %llu evaluations served %llu lookups "
-              "(%llu cross-session hits)\n",
-              static_cast<unsigned long long>(stats.evaluations),
-              static_cast<unsigned long long>(stats.lookups),
-              static_cast<unsigned long long>(stats.cross_session_hits()));
   const auto elapsed = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - t0)
                            .count();

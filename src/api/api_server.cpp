@@ -291,15 +291,6 @@ net::HttpResponse ApiServer::list_sessions() const {
 }
 
 net::HttpResponse ApiServer::get_stats() const {
-  const auto cache = service_.cache_stats();
-  JsonObject cache_json;
-  cache_json.emplace("lookups", cache.lookups);
-  cache_json.emplace("hits", cache.hits);
-  cache_json.emplace("waited", cache.waited);
-  cache_json.emplace("evaluations", cache.evaluations);
-  cache_json.emplace("abandoned", cache.abandoned);
-  cache_json.emplace("cross_session_hits", cache.cross_session_hits());
-
   JsonObject http_json;
   http_json.emplace("connections_accepted", http_.connections_accepted());
   http_json.emplace("requests_served", http_.requests_served());
@@ -339,7 +330,6 @@ net::HttpResponse ApiServer::get_stats() const {
                  static_cast<std::uint64_t>(service_.sessions_submitted()));
   object.emplace("sessions_active",
                  static_cast<std::uint64_t>(service_.sessions_active()));
-  object.emplace("cache", Json(std::move(cache_json)));
   object.emplace("durability", Json(std::move(durability_json)));
   object.emplace("http", Json(std::move(http_json)));
   return json_response(200, Json(std::move(object)));

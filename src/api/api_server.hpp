@@ -16,7 +16,7 @@
 //   POST /v1/sessions:run    synchronous: run_inline on the handling
 //                            connection's worker, full result back
 //                            (untracked: no id, never journaled).
-//   GET  /v1/stats           cache counters + session/HTTP counters,
+//   GET  /v1/stats           session and HTTP counters,
 //                            including overload sheds (admission
 //                            503s, connection-cap refusals) and the
 //                            journal's "durability" section.

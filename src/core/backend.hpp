@@ -12,9 +12,9 @@
 //                      benchmark mode, making tuner comparisons free after
 //                      one Runner sweep.
 //
-// The tuner-side bookkeeping (budget, memo, trace, cross-session
-// sharing) is not a backend: it is the per-session CachingEvaluator
-// (core/evaluator.hpp) that drives one.
+// The tuner-side bookkeeping (budget, memo, trace) is not a backend:
+// it is the per-session CachingEvaluator (core/evaluator.hpp) that
+// drives one.
 //
 // All backends are deterministic: identical index batches always yield
 // identical measurements, so live and replay paths are interchangeable.

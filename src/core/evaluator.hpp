@@ -15,9 +15,11 @@
 //     evaluation at a time.
 // evaluate_index is a one-element evaluate_batch, and each call sends
 // the backend one evaluate_batch at most: the call's first-occurrence
-// misses, or — with a shared cache hooked in — the misses this session
-// claimed (a claim another session abandons is then taken over one
-// config at a time).
+// misses. In a service session that is the whole stack: tuner, this
+// memo, then the workload's stateless backend. (With a shared cache
+// hooked in, which only benchmark/ still does, the batch holds the
+// misses this session claimed, and a claim another session abandons is
+// then taken over one config at a time; see core/shared_cache.hpp.)
 //
 // Swapping the backend (live vs replay) never changes what a tuner
 // observes, only where the measurements come from.

@@ -1,8 +1,7 @@
 // The result of evaluating one configuration on one device — what a real
 // tuner gets back from a compile+launch+time cycle.
 //
-// Plain value type; freely copied across threads (it is what the
-// service's shared cache hands between sessions).
+// Plain value type; freely copied across threads.
 #pragma once
 
 #include <limits>

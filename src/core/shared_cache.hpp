@@ -1,5 +1,11 @@
-// Cross-session measurement sharing: the seam the service layer plugs
-// into the per-session evaluation stack.
+// Cross-session measurement sharing: a seam into the per-session
+// evaluation stack that no program path plugs into any more. The
+// service's sessions each evaluate on their own, and only
+// benchmark/src/tuning_workload.cpp still hooks a cache in; ROADMAP
+// item 7 deletes SharedMeasurementCache, EvaluationHooks::shared_cache
+// and CachingEvaluator::resolve_through_shared_cache after that
+// change. EvaluationHooks::cancel, below, is live: the service's
+// cancellation token.
 //
 // SharedMeasurementCache is an abstract exactly-once memoization
 // protocol over ConfigIndex. Many concurrent tuning sessions on the same
@@ -73,9 +79,9 @@ class SharedMeasurementCache {
 
 /// Optional per-session hooks threaded from the service layer through
 /// run_tuner into the session's CachingEvaluator. Both pointers are
-/// borrowed: the service owning the session must keep them alive for
-/// the whole run. Defaults reproduce the standalone behavior exactly —
-/// no sharing, no cancellation.
+/// borrowed: the caller must keep them alive for the whole run.
+/// Defaults reproduce the standalone behavior exactly — no sharing, no
+/// cancellation. TuningService sets only `cancel`.
 struct EvaluationHooks {
   /// Cross-session cache; measurements are published to and recalled
   /// from it, but budget/trace accounting is unchanged (a shared hit is

@@ -1,4 +1,9 @@
-// ShardedMeasurementCache: the cross-session cache behind TuningService.
+// ShardedMeasurementCache: a cross-session measurement cache that the
+// program no longer uses. TuningService sessions each evaluate on their
+// own; routing them through this cache cost the grid more in claims
+// than it saved in evaluations. It stays, with its unit tests, only
+// because benchmark/src/tuning_workload.cpp still builds one for its
+// composed round; ROADMAP item 7 deletes both after that change.
 //
 // Implements core::SharedMeasurementCache (the claim/publish/abandon/
 // wait exactly-once protocol) with per-shard mutexes so that concurrent
@@ -15,15 +20,12 @@
 // Concurrency: each shard owns one mutex, one condition variable and one
 // hash map; claim/publish/abandon touch exactly one shard, so 16+ shards
 // keep concurrent sessions mostly uncontended where a single global
-// mutex would serialize every probe (bench/micro_framework.cpp carries
-// the BM_CacheUncontended / BM_CacheSingleMutex16Threads /
-// BM_CacheSharded16Threads evidence; shards = 1 *is* the single-mutex
+// mutex would serialize every probe (shards = 1 *is* the single-mutex
 // baseline). wait() blocks on the shard's condition variable until the
 // claim owner publishes or abandons.
 //
 // Ownership: the cache shares ownership of the CompiledSpace (so it
-// stays valid independently of the SearchSpace it came from) and is
-// itself owned by the service's per-(kernel, device) workload; sessions
+// stays valid independently of the SearchSpace it came from); sessions
 // borrow it through core::EvaluationHooks.
 #pragma once
 

@@ -15,8 +15,6 @@ namespace bat::service {
 namespace {
 /// Sessions admitted but not yet started; submit() blocks beyond.
 constexpr std::size_t kQueueCapacity = 64;
-/// Shards per workload cache.
-constexpr std::size_t kCacheShards = 16;
 
 /// A tracked session's result as GET /v1/sessions/<id> serves it,
 /// encoded once. Shrunk to fit: every retained session holds its bytes,
@@ -77,30 +75,6 @@ void TuningService::register_metrics() {
         std::lock_guard lock(mutex_);
         return static_cast<double>(queued_);
       });
-  // Cache series bridge the per-workload aggregations — the same
-  // single source of truth /v1/stats reports.
-  const auto cache_series = [&](const char* name, const char* help,
-                                auto getter) {
-    add(name, help, CallbackKind::kCounter, [this, getter] {
-      return static_cast<double>(getter(cache_stats()));
-    });
-  };
-  using CacheStats = ShardedMeasurementCache::Stats;
-  cache_series("bat_cache_lookups_total", "Shared-cache lookups",
-               [](const CacheStats& s) { return s.lookups; });
-  cache_series("bat_cache_hits_total", "Shared-cache hits",
-               [](const CacheStats& s) { return s.hits; });
-  cache_series("bat_cache_waited_total",
-               "Lookups that waited on a concurrent evaluation",
-               [](const CacheStats& s) { return s.waited; });
-  cache_series("bat_cache_evaluations_total",
-               "Evaluations performed through the shared cache",
-               [](const CacheStats& s) { return s.evaluations; });
-  cache_series("bat_cache_abandoned_total", "Abandoned claims",
-               [](const CacheStats& s) { return s.abandoned; });
-  cache_series("bat_cache_cross_session_hits_total",
-               "Hits + waits served by another session's work",
-               [](const CacheStats& s) { return s.cross_session_hits(); });
 }
 
 TuningService::~TuningService() { shutdown(); }
@@ -298,37 +272,8 @@ void TuningService::shutdown() {
 void TuningService::register_dataset(const std::string& kernel,
                                      core::DeviceIndex device,
                                      core::Dataset dataset) {
-  // Repository keys are (benchmark, device *name*): resolve the index
-  // through the kernel registry so disk archives and registrations
-  // agree on the key.
-  const auto bench = kernels::make(kernel);
-  repo_.put(kernel, bench->device_name(device), std::move(dataset));
-}
-
-ShardedMeasurementCache::Stats TuningService::cache_stats() const {
-  // Collect the caches (not the slots) under the service mutex:
-  // build_workload publishes slot->workload under the same mutex, so
-  // this never races a concurrent first-session build.
-  std::vector<std::shared_ptr<ShardedMeasurementCache>> caches;
-  {
-    std::lock_guard lock(mutex_);
-    caches.reserve(workloads_.size());
-    for (const auto& [key, slot] : workloads_) {
-      if (slot->workload && slot->workload->cache) {
-        caches.push_back(slot->workload->cache);
-      }
-    }
-  }
-  ShardedMeasurementCache::Stats total;
-  for (const auto& cache : caches) {
-    const auto s = cache->stats();
-    total.lookups += s.lookups;
-    total.hits += s.hits;
-    total.waited += s.waited;
-    total.evaluations += s.evaluations;
-    total.abandoned += s.abandoned;
-  }
-  return total;
+  std::lock_guard lock(mutex_);
+  registered_.insert_or_assign({kernel, device}, std::move(dataset));
 }
 
 std::size_t TuningService::sessions_submitted() const {
@@ -356,7 +301,6 @@ SessionResult TuningService::run_session(const SessionSpec& spec) {
       auto& workload = workload_for(spec);
       const auto tuner = tuners::make_tuner(spec.tuner);
       core::EvaluationHooks hooks;
-      if (options_.share_cache) hooks.shared_cache = workload.cache.get();
       hooks.cancel = &cancel_;
       result.run = tuners::run_tuner(*tuner, *workload.backend, spec.budget,
                                      spec.seed, hooks);
@@ -421,6 +365,15 @@ void TuningService::build_workload(const SessionSpec& spec,
   if (spec.backend == "replay") {
     const std::string device_name =
         workload->benchmark->device_name(spec.device);
+    // Repository keys are (benchmark, device *name*), known only now
+    // that the kernel is built. In memory, a registered dataset
+    // shadows an archive of the same key.
+    std::unique_lock lock(mutex_);
+    auto registered = registered_.extract({spec.kernel, spec.device});
+    lock.unlock();
+    if (registered) {
+      repo_.put(spec.kernel, device_name, std::move(registered.mapped()));
+    }
     // A binary archive in dataset_dir (and no registered in-memory
     // dataset shadowing it) replays from its mmap'ed columns, without
     // materializing a Dataset.
@@ -452,12 +405,7 @@ void TuningService::build_workload(const SessionSpec& spec,
     workload->backend =
         std::make_unique<core::LiveBackend>(*workload->benchmark, spec.device);
   }
-  workload->cache = std::make_shared<ShardedMeasurementCache>(
-      workload->benchmark->space().compiled_shared(), kCacheShards);
-  // Publish under the service mutex: cache_stats() reads slot->workload
-  // concurrently (sessions rendezvousing on the slot synchronize via
-  // the once-flag instead and never need the lock).
-  std::lock_guard lock(mutex_);
+  // Sessions rendezvousing on the slot synchronize via its once-flag.
   slot.workload = std::move(workload);
 }
 

@@ -1,4 +1,4 @@
-// TuningService: many concurrent tuning sessions, one shared cache.
+// TuningService: many concurrent tuning sessions over shared workloads.
 //
 // The paper's experiments are a fixed grid of (kernel x tuner x budget)
 // runs executed one at a time; the service turns that into an
@@ -13,11 +13,11 @@
 //     (a Runner sweep that builds a replay dataset on a worker runs
 //     inline there, per the pool's nesting rule);
 //   * per-(kernel, device, backend) "workloads" created lazily and
-//     shared by every session that matches: one Benchmark instance, one
-//     stateless evaluation backend, and one 16-shard
-//     ShardedMeasurementCache so concurrent sessions on the same space
-//     dedupe evaluations and hit each other's results (exactly once per
-//     distinct valid-ordinal);
+//     shared by every session that matches: one Benchmark instance and
+//     one stateless evaluation backend. Each session evaluates on its
+//     own: its tuner drives its CachingEvaluator, whose memo sits over
+//     the workload's backend, and no measurement passes between
+//     sessions;
 //   * cooperative cancellation: shutdown() flips one token that every
 //     session checks at its next batch boundary, so no worker is ever
 //     stuck mid-run;
@@ -36,14 +36,14 @@
 //     bytes (SessionResult::json).
 //
 // Determinism is preserved: backends are deterministic, so a session
-// produces the identical trace whether its measurements were computed
-// locally, recalled from the shared cache, or awaited from a concurrent
-// session (tests/service_test.cpp enforces this).
+// produces the identical trace on a pool worker, inline, live or
+// replayed, as a standalone run_tuner does (tests/service_test.cpp
+// enforces this).
 //
-// Ownership / thread-safety: the service owns benchmarks, backends,
-// caches and the worker pool; sessions borrow them and must not outlive
-// it (futures returned by submit() are safe to resolve after shutdown,
-// not after destruction). All public methods are thread-safe.
+// Ownership / thread-safety: the service owns benchmarks, backends and
+// the worker pool; sessions borrow them and must not outlive it
+// (futures returned by submit() are safe to resolve after shutdown, not
+// after destruction). All public methods are thread-safe.
 #pragma once
 
 #include <atomic>
@@ -73,9 +73,6 @@ namespace bat::service {
 struct ServiceOptions {
   /// Worker threads running sessions; 0 = hardware_concurrency().
   std::size_t workers = 0;
-  /// Route sessions through the shared per-workload cache. Off = every
-  /// session evaluates everything itself (for A/B comparisons).
-  bool share_cache = true;
   /// Disk cache for replay datasets, handed to the service's
   /// DatasetRepository: binary archives found there replay from their
   /// mmap'ed columns, copied once per workload (no Dataset is
@@ -94,9 +91,9 @@ struct ServiceOptions {
   std::size_t journal_retain_completed = 1024;
   /// Journal size that triggers a compacting checkpoint + truncate.
   std::uint64_t journal_checkpoint_bytes = 256 * 1024;
-  /// Registry hosting the bat_sessions_*/bat_cache_* series; null
-  /// makes a private one. Forwarded into the session journal, so one
-  /// `tune serve` process scrapes as one coherent surface.
+  /// Registry hosting the bat_sessions_* series; null makes a private
+  /// one. Forwarded into the session journal, so one `tune serve`
+  /// process scrapes as one coherent surface.
   std::shared_ptr<obs::MetricsRegistry> metrics;
 };
 
@@ -152,7 +149,7 @@ class TuningService {
       const std::vector<SessionSpec>& specs);
 
   /// Runs one session synchronously on the *calling* thread instead of
-  /// a pool worker, still sharing workloads/cache/cancellation with any
+  /// a pool worker, still sharing workloads and cancellation with any
   /// concurrently submitted sessions. A one-off session (tune run, a
   /// synchronous POST /v1/sessions:run) thus skips the backlog and the
   /// handoff to a worker, and never waits behind queued sessions.
@@ -171,15 +168,17 @@ class TuningService {
   /// resolving an archive from `dataset_dir`) on first use. Must be
   /// called before the first such session starts. Registered datasets
   /// are authoritative: they shadow on-disk archives for their key.
+  /// Registration only stores the dataset; the kernel and device are
+  /// checked when the workload is built, by the first session on them.
   void register_dataset(const std::string& kernel, core::DeviceIndex device,
                         core::Dataset dataset);
 
-  /// The repository replay workloads resolve their datasets through.
-  [[nodiscard]] io::DatasetRepository& datasets() noexcept { return repo_; }
-
-  /// Cache counters aggregated over every workload built so far.
-  /// stats().cross_session_hits() > 0 is the service's raison d'être.
-  [[nodiscard]] ShardedMeasurementCache::Stats cache_stats() const;
+  /// Always zero: sessions share no measurement cache. Kept for
+  /// benchmark/src/tuning_workload.cpp, which still calls it; the two
+  /// go together.
+  [[nodiscard]] ShardedMeasurementCache::Stats cache_stats() const {
+    return {};
+  }
 
   [[nodiscard]] std::size_t workers() const noexcept { return pool_.size(); }
   [[nodiscard]] std::size_t sessions_submitted() const;
@@ -194,7 +193,6 @@ class TuningService {
   struct Workload {
     std::unique_ptr<core::Benchmark> benchmark;
     std::unique_ptr<core::EvaluationBackend> backend;
-    std::shared_ptr<ShardedMeasurementCache> cache;
   };
   /// Lazily-built workload slot: the map entry is created cheaply under
   /// the service mutex, the (possibly slow: replay sweeps) build runs
@@ -242,6 +240,10 @@ class TuningService {
   std::size_t queued_ = 0;       // submitted, no worker picked it up yet
   std::size_t outstanding_ = 0;  // submitted, not finished
   std::map<WorkloadKey, std::shared_ptr<WorkloadSlot>> workloads_;
+  /// register_dataset()'s datasets, held until the replay workload on
+  /// their (kernel, device) is built and moves them into repo_.
+  std::map<std::pair<std::string, core::DeviceIndex>, core::Dataset>
+      registered_;
   io::DatasetRepository repo_;
 
   std::atomic<bool> cancel_{false};
@@ -252,7 +254,7 @@ class TuningService {
   obs::Counter* finished_failed_ = nullptr;
   obs::Counter* finished_cancelled_ = nullptr;
   obs::Histogram* session_duration_ = nullptr;
-  // Scrape-time bridges over cache_stats()/queue state.
+  // Scrape-time bridges over queue state.
   // Declared after everything they read (destroyed first).
   std::vector<obs::CallbackGuard> metric_guards_;
 

@@ -87,10 +87,10 @@ struct TuningRun {
 
 /// Runs the tuner against an arbitrary evaluation backend (live, replay,
 /// ...) with an explicit seed and returns the collected run. `hooks`
-/// adds cross-session measurement sharing and cooperative cancellation
-/// (what service::TuningService threads in); they never change the
-/// produced trace, only where measurements come from and whether the
-/// run may stop early at a batch boundary.
+/// adds cooperative cancellation (what service::TuningService threads
+/// in) and, unused by the program, cross-session measurement sharing;
+/// they never change the produced trace, only where measurements come
+/// from and whether the run may stop early at a batch boundary.
 [[nodiscard]] TuningRun run_tuner(Tuner& tuner,
                                   core::EvaluationBackend& backend,
                                   std::size_t budget, std::uint64_t seed,

@@ -1,8 +1,11 @@
-// The service layer's two correctness pillars:
-//  * exactly-once — N threads x M sessions sharing one
-//    ShardedMeasurementCache evaluate every distinct valid-ordinal once
-//    (the rest are cross-session hits), and traces are identical with
-//    and without the cache (determinism);
+// The service layer's correctness pillars:
+//  * ShardedMeasurementCache's exactly-once claim protocol, under
+//    contention and abandonment;
+//  * determinism — a session's trace through the service, pooled or
+//    inline, live or replayed, equals the standalone run_tuner trace;
+//  * dataset resolution — registered datasets and dataset_dir
+//    archives replay the same rows, and a registration shadows an
+//    archive of the same key;
 //  * cancellation — shutdown() mid-run stops every session at its next
 //    batch boundary with a partial trace and leaves no stuck workers.
 // tools/ci.sh runs this binary under TSan in addition to ASan/UBSan.
@@ -10,7 +13,6 @@
 
 #include <atomic>
 #include <filesystem>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -192,38 +194,17 @@ std::vector<SessionSpec> overlapping_specs(std::size_t sessions) {
   return specs;
 }
 
-// The tentpole invariant: across M concurrent sessions on one space, the
-// shared cache performs exactly one backend evaluation per *distinct*
-// config the sessions collectively traced; every other resolution is a
-// cross-session hit.
-TEST(TuningService, SharedCacheEvaluatesEachDistinctConfigOnce) {
-  ServiceOptions options;
-  options.workers = 4;  // force real concurrency even on 1-core CI
-  TuningService svc(options);
-  const auto specs = overlapping_specs(12);
-  const auto results = svc.run_all(specs);
-
-  std::set<core::ConfigIndex> distinct;
-  std::size_t traced = 0;
-  for (const auto& r : results) {
-    ASSERT_EQ(r.status, SessionStatus::kCompleted) << r.error;
-    for (const auto& entry : r.run.trace) distinct.insert(entry.index);
-    traced += r.run.trace.size();
-  }
-
-  const auto stats = svc.cache_stats();
-  EXPECT_EQ(stats.evaluations, distinct.size());
-  EXPECT_EQ(stats.cross_session_hits(), traced - distinct.size());
-  EXPECT_GT(stats.cross_session_hits(), 0u);
-  EXPECT_EQ(stats.abandoned, 0u);
-}
-
-// Determinism: routing a session through the service (pooled worker +
-// shared cache) must reproduce the standalone run_tuner trace bit for
-// bit — the cache only changes who computed a measurement, never its
-// value, because backends are deterministic.
+// Determinism: routing a session through the service (pooled worker,
+// shared workload backend) must reproduce the standalone run_tuner
+// trace bit for bit. The same sessions replayed from the service's
+// own pnpoly sweep must too, because backends are deterministic.
 TEST(TuningService, SessionTraceMatchesStandaloneRun) {
-  const auto specs = overlapping_specs(6);
+  auto specs = overlapping_specs(6);
+  for (std::size_t s = 0; s < 6; ++s) {
+    SessionSpec replay = specs[s];
+    replay.backend = "replay";
+    specs.push_back(std::move(replay));
+  }
 
   ServiceOptions options;
   options.workers = 3;
@@ -236,6 +217,8 @@ TEST(TuningService, SessionTraceMatchesStandaloneRun) {
     const auto tuner = tuners::make_tuner(specs[s].tuner);
     const auto solo =
         tuners::run_tuner(*tuner, backend, specs[s].budget, specs[s].seed);
+    ASSERT_EQ(results[s].status, SessionStatus::kCompleted)
+        << results[s].error;
     ASSERT_EQ(results[s].run.trace.size(), solo.trace.size());
     for (std::size_t i = 0; i < solo.trace.size(); ++i) {
       EXPECT_EQ(results[s].run.trace[i].index, solo.trace[i].index);
@@ -291,25 +274,56 @@ TEST(TuningService, ZeroCopyReplayFromDatasetDirMatchesInMemory) {
   }
 }
 
-TEST(TuningService, CacheSharingCanBeDisabled) {
+// A registered dataset shadows an archive of the same key in
+// dataset_dir, although registration resolves nothing until the first
+// replay session builds its workload. The registered rows here are
+// device 1's sweep under device 0's key, so the session must see
+// device 1's measurements, not the archived device 0 ones.
+TEST(TuningService, RegisteredDatasetShadowsArchiveInDatasetDir) {
+  namespace fs = std::filesystem;
+  const auto dir = fs::path(::testing::TempDir()) / "svc_shadowed_archive";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+
+  const auto bench = kernels::make("pnpoly");
+  io::save_dataset((dir / ("pnpoly_" + bench->device_name(0) + ".bin"))
+                       .string(),
+                   core::Runner::run_exhaustive(*bench, 0),
+                   io::DatasetFormat::kBinary);
+
   ServiceOptions options;
-  options.workers = 2;
-  options.share_cache = false;
+  options.dataset_dir = dir.string();
   TuningService svc(options);
-  const auto results = svc.run_all(overlapping_specs(4));
-  for (const auto& r : results) {
-    EXPECT_EQ(r.status, SessionStatus::kCompleted) << r.error;
+  svc.register_dataset("pnpoly", 0, core::Runner::run_exhaustive(*bench, 1));
+
+  SessionSpec spec;
+  spec.kernel = "pnpoly";
+  spec.tuner = "genetic";
+  spec.budget = 120;
+  spec.seed = 9;
+  spec.backend = "replay";
+  const auto result = svc.run_inline(spec);
+  ASSERT_EQ(result.status, SessionStatus::kCompleted) << result.error;
+
+  const auto tuner = tuners::make_tuner(spec.tuner);
+  core::LiveBackend device0(*bench, 0);
+  core::LiveBackend device1(*bench, 1);
+  const auto archived =
+      tuners::run_tuner(*tuner, device0, spec.budget, spec.seed);
+  const auto registered =
+      tuners::run_tuner(*tuner, device1, spec.budget, spec.seed);
+  ASSERT_EQ(result.run.trace.size(), registered.trace.size());
+  for (std::size_t i = 0; i < registered.trace.size(); ++i) {
+    EXPECT_EQ(result.run.trace[i].index, registered.trace[i].index);
+    EXPECT_DOUBLE_EQ(result.run.trace[i].objective,
+                     registered.trace[i].objective);
   }
-  // Workload caches exist but nothing routed through them.
-  const auto stats = svc.cache_stats();
-  EXPECT_EQ(stats.lookups, 0u);
-  EXPECT_EQ(stats.evaluations, 0u);
+  EXPECT_NE(result.run.best->objective, archived.best->objective);
 }
 
-// run_inline executes on the calling thread but shares the workload
-// cache with pooled sessions — an identical spec must come back all
-// cross-session hits, and the result must match the pooled run exactly.
-TEST(TuningService, RunInlineSharesTheWorkloadCache) {
+// run_inline executes on the calling thread and reproduces the pooled
+// run of the same spec exactly; after shutdown it refuses to run.
+TEST(TuningService, RunInlineMatchesPooledAndStopsAfterShutdown) {
   TuningService svc;
   SessionSpec spec;
   spec.kernel = "pnpoly";
@@ -317,9 +331,7 @@ TEST(TuningService, RunInlineSharesTheWorkloadCache) {
   spec.budget = 30;
   spec.seed = 3;
   const auto pooled = svc.submit(spec).get();
-  const auto before = svc.cache_stats();
   const auto inline_result = svc.run_inline(spec);
-  const auto after = svc.cache_stats();
 
   ASSERT_EQ(pooled.status, SessionStatus::kCompleted) << pooled.error;
   ASSERT_EQ(inline_result.status, SessionStatus::kCompleted)
@@ -328,10 +340,6 @@ TEST(TuningService, RunInlineSharesTheWorkloadCache) {
   for (std::size_t i = 0; i < pooled.run.trace.size(); ++i) {
     EXPECT_EQ(inline_result.run.trace[i].index, pooled.run.trace[i].index);
   }
-  // Every inline miss resolved from the pooled session's measurements.
-  EXPECT_EQ(after.evaluations, before.evaluations);
-  EXPECT_EQ(after.cross_session_hits() - before.cross_session_hits(),
-            inline_result.run.trace.size());
   EXPECT_EQ(svc.sessions_submitted(), 2u);
 
   svc.shutdown();

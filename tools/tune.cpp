@@ -11,11 +11,10 @@
 //
 //   tune grid   --kernels gemm,hotspot --tuners local,annealing,ils
 //               --sessions 16 [--budget 150] [--seed 1000] [--device 0]
-//               [--backend live|replay] [--workers N] [--no-shared-cache]
+//               [--backend live|replay] [--workers N]
 //       Round-robins the kernel x tuner combinations into --sessions
 //       concurrent sessions (seeds increment per session) through one
-//       TuningService; reports per-session results plus the sharded
-//       cache's cross-session hit counters.
+//       TuningService; reports per-session results.
 //
 //   tune replay --kernel pnpoly --tuner genetic --dataset ds.csv
 //               [--budget 150] [--seed 42] [--repeats 5]
@@ -73,7 +72,7 @@
 //                session id and return — the script-friendly half of
 //                --async (re-attach later with `get --id N`).
 //         get    --id N: one job from the registry.
-//         stats  cache/session/HTTP counters.
+//         stats  session/HTTP/journal counters.
 //         spaces search-space statistics from the server.
 //         health GET /v1/healthz: build id, uptime, ready|draining.
 //         top    one-shot operational summary assembled from
@@ -226,19 +225,6 @@ std::string best_cell(const service::SessionResult& r) {
   return common::format_double(r.run.best->objective, 3) + "ms";
 }
 
-void print_cache_stats(const service::TuningService& svc) {
-  const auto s = svc.cache_stats();
-  std::printf(
-      "sharded cache: %llu lookups, %llu evaluations, %llu cross-session "
-      "hits (%llu instant + %llu awaited), %llu abandoned\n",
-      static_cast<unsigned long long>(s.lookups),
-      static_cast<unsigned long long>(s.evaluations),
-      static_cast<unsigned long long>(s.cross_session_hits()),
-      static_cast<unsigned long long>(s.hits),
-      static_cast<unsigned long long>(s.waited),
-      static_cast<unsigned long long>(s.abandoned));
-}
-
 // ------------------------------------------------------------- subcommands --
 
 int cmd_run(const Args& args) {
@@ -306,8 +292,7 @@ int cmd_run(const Args& args) {
 
 int cmd_grid(const Args& args) {
   args.require_known({"kernels", "tuners", "sessions", "budget", "seed",
-                      "device", "backend", "workers", "no-shared-cache",
-                      "dataset-dir"});
+                      "device", "backend", "workers", "dataset-dir"});
   const auto kernel_names =
       common::split(args.get("kernels", "gemm,hotspot"), ',');
   const auto tuner_names =
@@ -321,7 +306,6 @@ int cmd_grid(const Args& args) {
 
   service::ServiceOptions options;
   options.workers = args.get_size("workers", 0);
-  options.share_cache = !args.has("no-shared-cache");
   // Replay sessions resolve <kernel>_<device>.{bin,csv} archives from
   // this directory (binary ones from the mmap'ed columns, without
   // materializing a Dataset) and persist swept datasets back into it.
@@ -336,7 +320,7 @@ int cmd_grid(const Args& args) {
 
   // Round-robin the kernel x tuner grid into `sessions` sessions; each
   // wrap-around of the grid bumps the seed, so repeated combinations
-  // are distinct runs that still share the workload cache.
+  // are distinct runs on the same workload.
   std::vector<service::SessionSpec> specs;
   specs.reserve(sessions);
   const std::size_t combos = kernel_names.size() * tuner_names.size();
@@ -353,9 +337,9 @@ int cmd_grid(const Args& args) {
   }
 
   std::printf("grid: %zu sessions over %zu kernel(s) x %zu tuner(s), "
-              "%zu workers, %s cache\n",
+              "%zu workers\n",
               specs.size(), kernel_names.size(), tuner_names.size(),
-              svc.workers(), options.share_cache ? "shared" : "per-session");
+              svc.workers());
   const auto results = svc.run_all(specs);
 
   common::AsciiTable table(
@@ -369,7 +353,6 @@ int cmd_grid(const Args& args) {
                    common::format_double(r.wall_ms, 1) + "ms"});
   }
   std::fputs(table.to_string().c_str(), stdout);
-  print_cache_stats(svc);
   return failed ? 1 : 0;
 }
 
@@ -709,7 +692,6 @@ int cmd_serve(const Args& args) {
               static_cast<unsigned long long>(server.http().requests_shed()),
               static_cast<unsigned long long>(
                   server.http().connections_over_capacity()));
-  print_cache_stats(svc);
   return 0;
 }
 
@@ -880,15 +862,6 @@ int cmd_remote_top(const Args& args) {
               static_cast<unsigned long long>(
                   stats.at("sessions_active").as_uint()),
               static_cast<unsigned long long>(stats.at("workers").as_uint()));
-  const auto& cache = stats.at("cache");
-  std::printf("cache:    lookups=%llu hits=%llu evaluations=%llu "
-              "cross_session_hits=%llu\n",
-              static_cast<unsigned long long>(cache.at("lookups").as_uint()),
-              static_cast<unsigned long long>(cache.at("hits").as_uint()),
-              static_cast<unsigned long long>(
-                  cache.at("evaluations").as_uint()),
-              static_cast<unsigned long long>(
-                  cache.at("cross_session_hits").as_uint()));
   const auto& http = stats.at("http");
   std::printf("http:     requests=%llu open=%llu shed=%llu\n",
               static_cast<unsigned long long>(
@@ -970,8 +943,7 @@ void print_usage() {
       "          [--backend live|replay] [--dataset path.{csv,bin}]\n"
       "  grid    --kernels a,b --tuners x,y --sessions N [--budget N]\n"
       "          [--seed S] [--device D] [--backend live|replay]\n"
-      "          [--workers W] [--no-shared-cache]\n"
-      "          [--dataset-dir DIR]\n"
+      "          [--workers W] [--dataset-dir DIR]\n"
       "  replay  --dataset path.{csv,bin} [--kernel K] [--tuner T]\n"
       "          [--repeats R]\n"
       "  spaces  [--kernels a,b,...]\n"
@@ -992,8 +964,8 @@ void print_usage() {
       "          submit: spec flags; prints the bare session id\n"
       "          get: --id N\n"
       "          health: build id, uptime, ready|draining\n"
-      "          top: one-shot operational summary (sessions, cache,\n"
-      "               http, journal)\n"
+      "          top: one-shot operational summary (sessions, http,\n"
+      "               journal)\n"
       "          trace: --id N; span timeline of a tracked session\n"
       "see docs/reproducing-the-paper.md for figure/table recipes,\n"
       "docs/dataset-format.md for the binary archive layout,\n"
