@@ -318,6 +318,7 @@ TEST(TuningService, RegisteredDatasetShadowsArchiveInDatasetDir) {
     EXPECT_DOUBLE_EQ(result.run.trace[i].objective,
                      registered.trace[i].objective);
   }
+  ASSERT_TRUE(result.run.best && archived.best);
   EXPECT_NE(result.run.best->objective, archived.best->objective);
 }
 
