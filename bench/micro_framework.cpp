@@ -3,7 +3,8 @@
 // evaluation, neighbor generation) and the analysis building blocks
 // (GBDT fit and prediction, PageRank iteration). BM_GbdtFit draws
 // continuous features; BM_GbdtFitDiscrete and BM_GbdtPredictAll use
-// BAT-shaped discrete ones, the data the paper's analyses fit.
+// BAT-shaped discrete ones, the data the paper's analyses fit, and
+// BM_GbdtScorePool the surrogate tuner's live gemm rows.
 //
 // Tuner-side micros run in the index currency tuners use: valid draws
 // and Hamming-1 neighbors come from the compiled space (CompiledSpace),
@@ -174,6 +175,50 @@ void BM_GbdtPredictAll(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GbdtPredictAll)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+/// The surrogate tuner's screening step: as in the tuner, an 80-tree,
+/// depth-5 GBDT fitted on 150 live gemm measurements scores a pool of
+/// 400 random valid candidates with one predict_all call.
+void BM_GbdtScorePool(benchmark::State& state) {
+  const auto bench = kernels::make("gemm");
+  const auto& compiled = bench->space().compiled();
+  common::Rng rng(7);
+  core::Config values;
+  std::vector<double> row(compiled.num_params());
+  const auto draw = [&] {
+    compiled.decode_into(compiled.random_valid_index(rng), values);
+    for (std::size_t p = 0; p < row.size(); ++p) {
+      row[p] = static_cast<double>(values[p]);
+    }
+  };
+  std::vector<std::vector<double>> observed;
+  std::vector<double> times;
+  while (observed.size() < 150) {
+    draw();
+    const double time = bench->evaluate(values, 0).objective();
+    if (std::isfinite(time) && time > 0.0) {
+      observed.push_back(row);
+      times.push_back(time);
+    }
+  }
+  ml::GbdtParams params;
+  params.num_trees = 80;
+  params.tree.max_depth = 5;
+  ml::GbdtRegressor model(params);
+  model.fit(ml::Matrix::from_rows(observed), times);
+
+  std::vector<std::vector<double>> candidates;
+  for (int i = 0; i < 400; ++i) {
+    draw();
+    candidates.push_back(row);
+  }
+  const auto pool = ml::Matrix::from_rows(candidates);
+  for (auto _ : state) {
+    const auto predicted = model.predict_all(pool);
+    benchmark::DoNotOptimize(predicted.data());
+  }
+}
+BENCHMARK(BM_GbdtScorePool)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 void BM_PageRank(benchmark::State& state) {
   // Random DAG-ish graph with n nodes, ~8 out-edges each.

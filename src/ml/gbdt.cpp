@@ -8,6 +8,24 @@
 
 namespace bat::ml {
 
+namespace {
+
+/// Calls fn(first, sums) for each block of up to kBlockRows entries of
+/// `values`, the block's rows starting at `first`; blocks run in
+/// parallel.
+template <typename Fn>
+void for_each_block(std::vector<double>& values, const Fn& fn) {
+  constexpr std::size_t kBlockRows = RegressionTree::kBlockRows;
+  const std::size_t blocks = (values.size() + kBlockRows - 1) / kBlockRows;
+  common::parallel_for(0, blocks, [&](std::size_t block) {
+    const std::size_t first = block * kBlockRows;
+    fn(first, std::span<double>(values).subspan(
+                  first, std::min(kBlockRows, values.size() - first)));
+  });
+}
+
+}  // namespace
+
 void GbdtRegressor::fit(const Matrix& x, std::span<const double> y,
                         bool log_target) {
   BAT_EXPECTS(x.rows() == y.size());
@@ -53,13 +71,11 @@ void GbdtRegressor::fit(const Matrix& x, std::span<const double> y,
     tree.fit(x, bins, residual, rows, params_.tree);
 
     // Update running predictions over ALL rows (parallel: trees are
-    // sequential, but scoring a tree is embarrassingly parallel).
-    common::parallel_for_chunked(
-        0, x.rows(), [&](std::size_t lo, std::size_t hi, std::size_t) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            current[i] += params_.learning_rate * tree.predict(x.row(i));
-          }
-        });
+    // sequential, but scoring a tree is embarrassingly parallel), with
+    // the block walk predict_all uses.
+    for_each_block(current, [&](std::size_t first, std::span<double> sums) {
+      tree.add_block(x, first, params_.learning_rate, sums);
+    });
     trees_.push_back(std::move(tree));
   }
 }
@@ -78,19 +94,13 @@ std::vector<double> GbdtRegressor::predict_all(const Matrix& x) const {
   // Tree-major over blocks of rows, so one tree's nodes stay in cache
   // across a block. Each row still adds its trees in order, so results
   // are bit-equal to predict().
-  constexpr std::size_t kBlockRows = 128;
   std::vector<double> out(x.rows(), base_prediction_);
-  const std::size_t blocks = (x.rows() + kBlockRows - 1) / kBlockRows;
-  common::parallel_for(0, blocks, [&](std::size_t block) {
-    const std::size_t first = block * kBlockRows;
-    const std::size_t last = std::min(x.rows(), first + kBlockRows);
+  for_each_block(out, [&](std::size_t first, std::span<double> sums) {
     for (const auto& tree : trees_) {
-      for (std::size_t i = first; i < last; ++i) {
-        out[i] += params_.learning_rate * tree.predict(x.row(i));
-      }
+      tree.add_block(x, first, params_.learning_rate, sums);
     }
     if (log_target_) {
-      for (std::size_t i = first; i < last; ++i) out[i] = std::exp(out[i]);
+      for (double& v : sums) v = std::exp(v);
     }
   });
   return out;

@@ -33,6 +33,9 @@ class Matrix {
   [[nodiscard]] std::span<const double> row(std::size_t r) const {
     return {data_.data() + r * cols_, cols_};
   }
+  [[nodiscard]] std::span<double> row(std::size_t r) {
+    return {data_.data() + r * cols_, cols_};
+  }
 
   /// Returns a copy with column `c`'s values permuted by `perm` (used by
   /// permutation feature importance).

@@ -69,6 +69,7 @@ void RegressionTree::fit(const Matrix& x, const FeatureBins& bins,
   BAT_EXPECTS(bins.rows() == x.rows() && bins.cols() == x.cols());
   BAT_EXPECTS(!sample_rows.empty());
   nodes_.clear();
+  depth_ = 0;
   Builder b{x,
             bins,
             y,
@@ -78,8 +79,8 @@ void RegressionTree::fit(const Matrix& x, const FeatureBins& bins,
   build(b, 0, b.rows.size(), 0);
 }
 
-int RegressionTree::build(Builder& b, std::size_t begin, std::size_t end,
-                          int depth) {
+std::uint32_t RegressionTree::build(Builder& b, std::size_t begin,
+                                    std::size_t end, int depth) {
   const TreeParams& params = b.params;
   const std::span<const std::size_t> rows(b.rows.data() + begin, end - begin);
   const std::size_t n = rows.size();
@@ -87,9 +88,9 @@ int RegressionTree::build(Builder& b, std::size_t begin, std::size_t end,
   for (const std::size_t r : rows) sum += b.y[r];
   const double mean = sum / static_cast<double>(n);
 
-  const int node_index = static_cast<int>(nodes_.size());
-  nodes_.push_back(Node{});
-  nodes_[node_index].value = mean;
+  const auto node_index = static_cast<std::uint32_t>(nodes_.size());
+  nodes_.push_back(Node{.child = {node_index, node_index}, .value = mean});
+  depth_ = std::max(depth_, depth);
 
   if (depth >= params.max_depth || n < 2 * params.min_samples_leaf) {
     return node_index;
@@ -150,23 +151,36 @@ int RegressionTree::build(Builder& b, std::size_t begin, std::size_t end,
   const auto mid = static_cast<std::size_t>(mid_it - b.rows.begin());
   if (mid == begin || mid == end) return node_index;  // degenerate
 
-  nodes_[node_index].feature = best.feature;
+  nodes_[node_index].feature = static_cast<std::uint32_t>(best.feature);
   nodes_[node_index].threshold = best.threshold;
   nodes_[node_index].gain = best.gain;
-  const int left = build(b, begin, mid, depth + 1);
-  const int right = build(b, mid, end, depth + 1);
-  nodes_[node_index].left = left;
-  nodes_[node_index].right = right;
+  const std::uint32_t left = build(b, begin, mid, depth + 1);
+  const std::uint32_t right = build(b, mid, end, depth + 1);
+  nodes_[node_index].child[0] = left;
+  nodes_[node_index].child[1] = right;
   return node_index;
+}
+
+void RegressionTree::add_block(const Matrix& x, std::size_t first,
+                               double scale, std::span<double> sums) const {
+  BAT_EXPECTS(trained());
+  BAT_EXPECTS(sums.size() <= kBlockRows && first + sums.size() <= x.rows());
+  const std::size_t n = sums.size();
+  if (n == 0) return;
+  const double* rows = x.row(first).data();
+  const std::size_t cols = x.cols();
+  std::uint32_t at[kBlockRows] = {};  // every row starts at the root
+  for (int level = 0; level < depth_; ++level) {
+    for (std::size_t i = 0; i < n; ++i) at[i] = next(at[i], rows + i * cols);
+  }
+  for (std::size_t i = 0; i < n; ++i) sums[i] += scale * nodes_[at[i]].value;
 }
 
 std::vector<double> RegressionTree::split_gains(
     std::size_t num_features) const {
   std::vector<double> gains(num_features, 0.0);
-  for (const auto& node : nodes_) {
-    if (node.feature >= 0) {
-      gains[static_cast<std::size_t>(node.feature)] += node.gain;
-    }
+  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
+    if (nodes_[i].child[0] != i) gains[nodes_[i].feature] += nodes_[i].gain;
   }
   return gains;
 }

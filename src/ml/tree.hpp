@@ -10,6 +10,18 @@
 // same threshold, gain formula and tie rule, so trees match that scan's
 // up to the order in which bin sums are added (tests/ml_test.cpp keeps
 // the sort-based scan as the reference).
+//
+// Prediction walks a fixed number of levels with no data-dependent
+// branch. Both children of a leaf point at the leaf itself, and a leaf
+// reads feature 0, so depth() steps of
+//   i = child[!(x[feature] <= threshold)]
+// bring any row to its leaf, whichever way each compare goes (a NaN
+// feature goes right, as `!(NaN <= t)` is 1). add_block() advances up to
+// kBlockRows rows one level per pass (the frontier-in-waves traversal of
+// Gomes and Teodoro, arXiv 1605.00930): the rows of a pass do not depend
+// on each other, so their node loads overlap instead of waiting on
+// mispredicted branches. tests/ml_test.cpp keeps a branching walk as the
+// reference.
 #pragma once
 
 #include <cstddef>
@@ -71,20 +83,29 @@ class RegressionTree {
            std::span<const std::size_t> sample_rows, const TreeParams& params);
 
   [[nodiscard]] double predict(std::span<const double> features) const {
-    BAT_EXPECTS(!nodes_.empty());
-    const Node* node = nodes_.data();
-    while (node->feature >= 0) {
-      const double v = features[static_cast<std::size_t>(node->feature)];
-      node = &nodes_[static_cast<std::size_t>(
-          v <= node->threshold ? node->left : node->right)];
+    BAT_EXPECTS(trained());
+    std::uint32_t at = 0;  // the root
+    for (int level = 0; level < depth_; ++level) {
+      at = next(at, features.data());
     }
-    return node->value;
+    return nodes_[at].value;
   }
+
+  /// Rows add_block() walks at once.
+  static constexpr std::size_t kBlockRows = 128;
+
+  /// Adds scale * predict(x.row(first + i)) to sums[i] for each of the
+  /// sums.size() <= kBlockRows rows of x from `first`, walking them down
+  /// the tree one level per pass.
+  void add_block(const Matrix& x, std::size_t first, double scale,
+                 std::span<double> sums) const;
 
   [[nodiscard]] bool trained() const noexcept { return !nodes_.empty(); }
   [[nodiscard]] std::size_t node_count() const noexcept {
     return nodes_.size();
   }
+  /// Depth of the deepest leaf; 0 for a single-leaf tree.
+  [[nodiscard]] int depth() const noexcept { return depth_; }
 
   /// Total squared-error gain contributed by splits on each feature
   /// (tree-internal importance; PFI is computed separately).
@@ -92,18 +113,27 @@ class RegressionTree {
 
  private:
   struct Node {
-    int feature = -1;          // -1 => leaf
-    double threshold = 0.0;    // go left if value <= threshold
-    double value = 0.0;        // leaf prediction
-    double gain = 0.0;         // split gain (internal nodes)
-    int left = -1;
-    int right = -1;
+    std::uint32_t feature = 0;  // a leaf reads feature 0 and ignores it
+    std::uint32_t child[2];     // left (value <= threshold), right; a
+                                // leaf's are its own index
+    double threshold = 0.0;
+    double value = 0.0;  // leaf prediction
+    double gain = 0.0;   // split gain (internal nodes)
   };
   struct Builder;
 
-  int build(Builder& b, std::size_t begin, std::size_t end, int depth);
+  /// One level of the walk: the child of node `at` that `row` goes to,
+  /// or `at` itself when it is a leaf.
+  [[nodiscard]] std::uint32_t next(std::uint32_t at, const double* row) const {
+    const Node& node = nodes_[at];
+    return node.child[!(row[node.feature] <= node.threshold)];
+  }
+
+  std::uint32_t build(Builder& b, std::size_t begin, std::size_t end,
+                      int depth);
 
   std::vector<Node> nodes_;
+  int depth_ = 0;
 };
 
 }  // namespace bat::ml

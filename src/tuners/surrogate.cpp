@@ -1,6 +1,7 @@
 #include "tuners/surrogate.hpp"
 
 #include <cmath>
+#include <span>
 
 #include "ml/gbdt.hpp"
 
@@ -25,10 +26,8 @@ void SurrogateTuner::optimize(core::CachingEvaluator& evaluator,
   std::vector<double> y_vals;
   core::Config values;  // decode buffer for feature rows
 
-  const auto features = [&](core::ConfigIndex index,
-                            std::vector<double>& row) {
+  const auto features = [&](core::ConfigIndex index, std::span<double> row) {
     compiled.decode_into(index, values);
-    row.resize(dims);
     for (std::size_t p = 0; p < dims; ++p) {
       row[p] = static_cast<double>(values[p]);
     }
@@ -37,7 +36,7 @@ void SurrogateTuner::optimize(core::CachingEvaluator& evaluator,
   const auto observe = [&](core::ConfigIndex index) {
     const double obj = evaluator.evaluate_index(index);
     if (std::isfinite(obj) && obj > 0.0) {
-      features(index, x_rows.emplace_back());
+      features(index, x_rows.emplace_back(dims));
       y_vals.push_back(obj);
     }
   };
@@ -50,7 +49,8 @@ void SurrogateTuner::optimize(core::CachingEvaluator& evaluator,
   gparams.num_trees = 80;  // refit often -> keep individual fits cheap
   gparams.tree.max_depth = 5;
 
-  std::vector<double> row;
+  std::vector<core::ConfigIndex> candidates(kCandidatePool);
+  ml::Matrix pool(kCandidatePool, dims);
   while (true) {
     // (Re)fit the surrogate on everything observed so far.
     ml::GbdtRegressor model(gparams);
@@ -64,20 +64,19 @@ void SurrogateTuner::optimize(core::CachingEvaluator& evaluator,
         continue;
       }
       // Screen a pool of random valid candidates through the surrogate
-      // and evaluate the most promising one (the first on ties) for real.
-      core::ConfigIndex best_candidate = compiled.random_valid_index(rng);
-      features(best_candidate, row);
-      double best_predicted = model.predict(row);
-      for (std::size_t i = 1; i < kCandidatePool; ++i) {
-        const core::ConfigIndex candidate = compiled.random_valid_index(rng);
-        features(candidate, row);
-        const double predicted = model.predict(row);
-        if (predicted < best_predicted) {
-          best_predicted = predicted;
-          best_candidate = candidate;
-        }
+      // in one call and evaluate the most promising one (the first on
+      // ties) for real. Prediction draws nothing, so drawing the whole
+      // pool first uses the RNG as drawing and scoring one at a time.
+      for (std::size_t i = 0; i < kCandidatePool; ++i) {
+        candidates[i] = compiled.random_valid_index(rng);
+        features(candidates[i], pool.row(i));
       }
-      observe(best_candidate);
+      const std::vector<double> predicted = model.predict_all(pool);
+      std::size_t best = 0;
+      for (std::size_t i = 1; i < kCandidatePool; ++i) {
+        if (predicted[i] < predicted[best]) best = i;
+      }
+      observe(candidates[best]);
     }
   }
 }

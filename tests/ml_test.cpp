@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/rng.hpp"
 #include "ml/gbdt.hpp"
@@ -54,6 +55,18 @@ class SortScanTree {
   }
 
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
+
+  /// (feature, threshold) of every split, in node order.
+  [[nodiscard]] std::vector<std::pair<std::size_t, double>> splits() const {
+    std::vector<std::pair<std::size_t, double>> out;
+    for (const auto& node : nodes_) {
+      if (node.feature >= 0) {
+        out.emplace_back(static_cast<std::size_t>(node.feature),
+                         node.threshold);
+      }
+    }
+    return out;
+  }
 
   [[nodiscard]] std::vector<double> split_gains(std::size_t num_features) const {
     std::vector<double> gains(num_features, 0.0);
@@ -378,6 +391,96 @@ TEST(RegressionTree, MatchesSortScanOnAdjacentDoubles) {
   }
 }
 
+/// Fits the histogram tree and the sort-scan reference on all rows of x
+/// and asserts that the branch-free walks, predict() and add_block(),
+/// send every probe row to the leaf the reference's branching walk
+/// does. The probes are each row of x, and the row with one feature set
+/// to each split's threshold (an equal value goes left) and to NaN,
+/// -inf and +inf (NaN goes right). add_block() runs over blocks of
+/// kBlockRows probes and a partial last block.
+void expect_walks_match(const Matrix& x, std::span<const double> y,
+                        const TreeParams& params, int depth) {
+  RegressionTree tree;
+  tree.fit(x, y, all_rows(x.rows()), params);
+  SortScanTree reference;
+  reference.fit(x, y, all_rows(x.rows()), params);
+  ASSERT_EQ(tree.node_count(), reference.node_count());
+  EXPECT_EQ(tree.depth(), depth);
+
+  std::vector<std::vector<double>> probe_rows;
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::infinity()};
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    const std::vector<double> row(x.row(r).begin(), x.row(r).end());
+    probe_rows.push_back(row);
+    for (const auto& [feature, threshold] : reference.splits()) {
+      probe_rows.push_back(row);
+      probe_rows.back()[feature] = threshold;
+    }
+    for (std::size_t f = 0; f < x.cols(); ++f) {
+      for (const double v : specials) {
+        probe_rows.push_back(row);
+        probe_rows.back()[f] = v;
+      }
+    }
+  }
+  if (probe_rows.size() % RegressionTree::kBlockRows == 0) {
+    probe_rows.push_back(probe_rows.front());
+  }
+  const Matrix probes = Matrix::from_rows(probe_rows);
+
+  std::vector<double> sums(probes.rows(), 1.0);
+  for (std::size_t first = 0; first < probes.rows();
+       first += RegressionTree::kBlockRows) {
+    const std::size_t n =
+        std::min(RegressionTree::kBlockRows, probes.rows() - first);
+    tree.add_block(probes, first, 0.25, std::span(sums).subspan(first, n));
+  }
+  std::size_t mismatches = 0;
+  for (std::size_t r = 0; r < probes.rows(); ++r) {
+    const double want = reference.predict(probes.row(r));
+    if (tree.predict(probes.row(r)) != want || sums[r] != 1.0 + 0.25 * want) {
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << probes.rows() << " probes";
+}
+
+TEST(RegressionTree, WalksMatchBranchingWalkOnASingleLeaf) {
+  const auto [x, y] = discrete_data(50, 5);
+  const std::vector<double> flat(x.rows(), 2.0);
+  expect_walks_match(x, flat, TreeParams{}, 0);
+}
+
+TEST(RegressionTree, WalksMatchBranchingWalkWithLeavesAtEveryDepth) {
+  // Targets 4^i on x1 = i: each split peels the largest row off into a
+  // leaf, so leaves sit at depths 1 to max_depth. Column 0 is constant,
+  // so no node splits on the feature every leaf reads.
+  const std::size_t n = 10;
+  Matrix x(n, 2);
+  std::vector<double> y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x(i, 0) = 3.0;
+    x(i, 1) = static_cast<double>(i);
+    y[i] = std::ldexp(1.0, 2 * static_cast<int>(i));
+  }
+  TreeParams params;
+  params.max_depth = 6;
+  params.min_samples_leaf = 1;
+  expect_walks_match(x, y, params, 6);
+  RegressionTree tree;
+  tree.fit(x, y, all_rows(n), params);
+  EXPECT_EQ(tree.node_count(), 13u);  // 6 splits, 7 leaves
+}
+
+TEST(RegressionTree, WalksMatchBranchingWalkOnDiscreteData) {
+  for (const std::uint64_t seed : {1u, 2u}) {
+    const auto [x, y] = discrete_data(300, seed);
+    expect_walks_match(x, y, TreeParams{}, TreeParams{}.max_depth);
+  }
+}
+
 TEST(RegressionTree, SplitGainsConcentrateOnInformativeFeature) {
   const auto [x, y] = synthetic_data(400, 2);
   std::vector<double> logy(y.size());
@@ -434,6 +537,29 @@ TEST(Gbdt, PredictAllIsBitEqualToPredict) {
     for (std::size_t i = 0; i < x.rows(); ++i) {
       EXPECT_EQ(all[i], model.predict(x.row(i))) << "row " << i;
     }
+  }
+}
+
+TEST(Gbdt, PredictAllIsBitEqualToPredictAtBlockEdges) {
+  // One row, one short of a block, one block, one past it, and the
+  // surrogate's candidate pool of 400.
+  const auto [x, y] = synthetic_data(400, 9);
+  GbdtParams params;
+  params.num_trees = 40;
+  GbdtRegressor model(params);
+  model.fit(x, y);
+  for (const std::size_t rows : {1u, 127u, 128u, 129u, 400u}) {
+    Matrix head(rows, x.cols());
+    for (std::size_t i = 0; i < rows; ++i) {
+      std::copy(x.row(i).begin(), x.row(i).end(), head.row(i).begin());
+    }
+    const auto all = model.predict_all(head);
+    ASSERT_EQ(all.size(), rows);
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < rows; ++i) {
+      if (all[i] != model.predict(head.row(i))) ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0u) << "over " << rows << " rows";
   }
 }
 

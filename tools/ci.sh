@@ -472,7 +472,7 @@ if echo "${SAN_TARGETS}" \
     | grep -q '^\.\.\. micro_framework\|^micro_framework'; then
   cmake --build "${SAN_DIR}" -j "${JOBS}" --target micro_framework
   "${SAN_DIR}/micro_framework" \
-      --benchmark_filter='Neighbors|FfgBuild|BatchEvaluateReplay|HttpParseRequest|SessionResultToJson|ApiGetFinishedSession' \
+      --benchmark_filter='Neighbors|FfgBuild|BatchEvaluateReplay|GbdtScorePool|HttpParseRequest|SessionResultToJson|ApiGetFinishedSession' \
       --benchmark_min_time=0.05
 
   echo "=== io perf data points (BENCH_io.json) ==="
