@@ -12,10 +12,7 @@ CachingEvaluator::CachingEvaluator(EvaluationBackend& backend,
   BAT_EXPECTS(budget > 0);
   memo_.reserve(std::min<std::size_t>(budget, 1 << 16));
   const auto& compiled = backend.space().compiled();
-  if (compiled.has_valid_set()) {
-    valid_set_ = &compiled;
-    unseen_valid_ = compiled.num_valid();
-  }
+  if (compiled.has_valid_set()) unseen_valid_ = compiled.num_valid();
 }
 
 double CachingEvaluator::evaluate_index(ConfigIndex index) {
@@ -72,16 +69,26 @@ std::vector<double> CachingEvaluator::evaluate_batch(
     }
   }
 
+  const auto& compiled = space().compiled();
   if (!misses.empty()) {
+    idle_calls_ = 0;
     const auto measured = hooks_.shared_cache
                               ? resolve_through_shared_cache(misses)
                               : backend_->evaluate_batch(misses);
     for (std::size_t i = 0; i < misses.size(); ++i) {
       memo_.emplace(misses[i], measured[i].objective());
       trace_.push_back(TraceEntry{misses[i], measured[i].objective()});
-      if (valid_set_ != nullptr && valid_set_->rank(misses[i])) {
+      if (unseen_valid_ != kUncounted && compiled.is_valid_index(misses[i])) {
         --unseen_valid_;
       }
+    }
+  } else if (++idle_calls_ == kIdleCallsBeforeCount &&
+             unseen_valid_ == kUncounted) {
+    // A long run of calls that find nothing new: count the streamed
+    // space's valid set once, less what the trace already holds.
+    unseen_valid_ = compiled.count_valid();
+    for (const TraceEntry& entry : trace_) {
+      if (compiled.is_valid_index(entry.index)) --unseen_valid_;
     }
   }
   if (truncated) throw BudgetExhausted();

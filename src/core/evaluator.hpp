@@ -24,11 +24,15 @@
 // Swapping the backend (live vs replay) never changes what a tuner
 // observes, only where the measurements come from.
 //
-// On a materialized space (CompiledSpace::has_valid_set) the evaluator
-// also counts the valid configurations not yet in the trace. Once every
-// one of them is traced, nothing valid is left to measure, so every
-// call throws BudgetExhausted: a session whose budget exceeds the valid
-// set ends when it has seen the whole set instead of running for ever.
+// The evaluator also counts the valid configurations not yet in the
+// trace. Once every one of them is traced, nothing valid is left to
+// measure, so every call throws BudgetExhausted: a session whose budget
+// exceeds the valid set ends when it has seen the whole set instead of
+// running for ever. A materialized space (CompiledSpace::has_valid_set)
+// is counted at construction. A streamed one is counted only after
+// 2^16 consecutive calls that traced nothing, since walking its product
+// costs seconds on the largest spaces and a session that still finds
+// new configurations never needs the count.
 //
 // Ownership / thread-safety: a CachingEvaluator is per-session state
 // (budget, memo, trace) driven by exactly one thread at a time; it
@@ -60,8 +64,8 @@ class CachingEvaluator {
                    EvaluationHooks hooks = {});
 
   /// Evaluates (or recalls) one configuration. Throws BudgetExhausted
-  /// when a cache miss would exceed the budget, or when the trace holds
-  /// every valid configuration of a materialized space.
+  /// when a cache miss would exceed the budget, or when the trace is
+  /// known to hold every valid configuration (see above).
   double evaluate_index(ConfigIndex index);
 
   /// Evaluates a batch of configurations; results align with `indices`.
@@ -83,8 +87,8 @@ class CachingEvaluator {
   /// EvaluationCancelled was thrown): the run stopped *because* of the
   /// token, as opposed to ending naturally below budget.
   [[nodiscard]] bool cancelled() const noexcept { return cancelled_; }
-  /// True once the budget is spent or, on a materialized space, the
-  /// trace holds every valid configuration.
+  /// True once the budget is spent or the trace is known to hold every
+  /// valid configuration.
   [[nodiscard]] bool exhausted() const noexcept {
     return trace_.size() >= budget_ || unseen_valid_ == 0;
   }
@@ -113,13 +117,17 @@ class CachingEvaluator {
   [[nodiscard]] std::vector<Measurement> resolve_through_shared_cache(
       const std::vector<ConfigIndex>& misses);
 
+  static constexpr std::uint64_t kUncounted =
+      std::numeric_limits<std::uint64_t>::max();
+  static constexpr std::size_t kIdleCallsBeforeCount = std::size_t{1} << 16;
+
   EvaluationBackend* backend_;
   std::size_t budget_;
-  /// The space's valid set when it is materialized, else null; each
-  /// recorded miss costs one rank probe to keep unseen_valid_ exact.
-  const CompiledSpace* valid_set_ = nullptr;
-  /// Valid configurations not yet in the trace (never 0 when streamed).
-  std::uint64_t unseen_valid_ = std::numeric_limits<std::uint64_t>::max();
+  /// Valid configurations not yet in the trace, or kUncounted; once
+  /// counted, each recorded miss costs one validity probe (a rank probe
+  /// when materialized) to keep it exact.
+  std::uint64_t unseen_valid_ = kUncounted;
+  std::size_t idle_calls_ = 0;  // consecutive calls that traced nothing
   EvaluationHooks hooks_;
   bool cancelled_ = false;
   std::unordered_map<ConfigIndex, double> memo_;  // index -> objective

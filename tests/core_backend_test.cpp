@@ -12,6 +12,7 @@
 #include "kernels/all_kernels.hpp"
 #include "obs/trace.hpp"
 #include "service/sharded_cache.hpp"
+#include "tuners/tuner.hpp"
 
 namespace bat::core {
 namespace {
@@ -311,6 +312,59 @@ TEST(CachingEvaluator, EndsOnceTheTraceHoldsTheWholeValidSet) {
   }
   EXPECT_FALSE(eval.cancelled());
   EXPECT_EQ(eval.evaluations(), indices.size() + 1);
+}
+
+TEST(CachingEvaluator, CountsAStreamedValidSetAfterALongIdleRun) {
+  // A streamed space is counted only once 2^16 calls in a row have
+  // traced nothing; from then on it is tracked like a materialized one.
+  const SparseBenchmark bench;
+  const auto& compiled = bench.space().compiled();
+  ASSERT_FALSE(compiled.has_valid_set());
+  auto valid = compiled.enumerate_valid();
+  ASSERT_FALSE(compiled.is_valid_index(1));
+  const ConfigIndex last = valid.back();
+  valid.back() = 1;  // an invalid miss is traced but counts for nothing
+  constexpr std::size_t kIdleRun = std::size_t{1} << 16;
+
+  LiveBackend live(bench, 0);
+  CachingEvaluator eval(live, 5000);
+  (void)eval.evaluate_batch(valid);
+  for (std::size_t i = 0; i < 2 * kIdleRun; ++i) {
+    (void)eval.evaluate_index(valid.front());  // `last` is still unseen
+  }
+  EXPECT_FALSE(eval.exhausted());
+  (void)eval.evaluate_index(last);
+  EXPECT_TRUE(eval.exhausted());
+  EXPECT_THROW((void)eval.evaluate_index(last), BudgetExhausted);
+  EXPECT_EQ(eval.evaluations(), valid.size() + 1);
+
+  // A trace that already holds the whole valid set ends on the call
+  // that completes the idle run.
+  CachingEvaluator complete(live, 5000);
+  (void)complete.evaluate_batch(compiled.enumerate_valid());
+  EXPECT_FALSE(complete.exhausted());
+  std::size_t calls = 0;
+  try {
+    for (; calls <= kIdleRun; ++calls) {
+      (void)complete.evaluate_index(last);
+    }
+  } catch (const BudgetExhausted&) {
+  }
+  EXPECT_EQ(calls, kIdleRun);
+  EXPECT_TRUE(complete.exhausted());
+}
+
+TEST(CachingEvaluator, SinglePointTunersEndOnAStreamedSpace) {
+  // A streamed space whose valid set is smaller than the budget: once
+  // local, annealing and ils have seen all of it, they return.
+  const SparseBenchmark bench;
+  const std::uint64_t valid = bench.space().compiled().count_valid();
+  ASSERT_EQ(valid, 4127u);
+  for (const std::string name : {"local", "annealing", "ils"}) {
+    const auto tuner = tuners::make_tuner(name);
+    const auto run = tuners::run_tuner(*tuner, bench, 0, 5000, 1);
+    EXPECT_EQ(run.trace.size(), valid) << name;
+  }
 }
 
 // What the backend is sent: each evaluator call sends at most one
