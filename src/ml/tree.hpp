@@ -114,8 +114,8 @@ class RegressionTree {
  private:
   struct Node {
     std::uint32_t feature = 0;  // a leaf reads feature 0 and ignores it
-    std::uint32_t child[2];     // left (value <= threshold), right; a
-                                // leaf's are its own index
+    std::uint32_t child[2] = {0, 0};  // left (value <= threshold),
+                                      // right; a leaf's are its own index
     double threshold = 0.0;
     double value = 0.0;  // leaf prediction
     double gain = 0.0;   // split gain (internal nodes)
