@@ -408,13 +408,14 @@ void expect_walks_match(const Matrix& x, std::span<const double> y,
   EXPECT_EQ(tree.depth(), depth);
 
   std::vector<std::vector<double>> probe_rows;
+  const auto splits = reference.splits();
   const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
                              -std::numeric_limits<double>::infinity(),
                              std::numeric_limits<double>::infinity()};
   for (std::size_t r = 0; r < x.rows(); ++r) {
     const std::vector<double> row(x.row(r).begin(), x.row(r).end());
     probe_rows.push_back(row);
-    for (const auto& [feature, threshold] : reference.splits()) {
+    for (const auto& [feature, threshold] : splits) {
       probe_rows.push_back(row);
       probe_rows.back()[feature] = threshold;
     }
