@@ -34,7 +34,7 @@ FitnessFlowGraph::FitnessFlowGraph(const core::SearchSpace& space,
   // Index-native build: ConfigIndex -> valid-ordinal (rank) -> node id
   // via one flat array. A dataset row outside the compiled valid set
   // (foreign or stale CSV) disables ordinal mode; such datasets take the
-  // tolerant hash-keyed path below, like ReplayBackend.
+  // tolerant hash-keyed path below.
   bool ordinal_mode = compiled.has_valid_set();
   std::vector<std::uint32_t> node_of_ordinal;
   if (ordinal_mode) {

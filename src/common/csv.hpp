@@ -14,7 +14,6 @@ class CsvWriter {
   CsvWriter() = default;
 
   void write_row(const std::vector<std::string>& cells);
-  void write_header(const std::vector<std::string>& cells) { write_row(cells); }
 
   [[nodiscard]] const std::string& str() const noexcept { return buffer_; }
 

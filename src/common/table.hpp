@@ -26,9 +26,6 @@ class AsciiTable {
   ///   | cell   | cell   |
   [[nodiscard]] std::string to_string() const;
 
-  /// Renders as markdown (same layout, no outer padding tweaks).
-  [[nodiscard]] std::string to_markdown() const { return to_string(); }
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

@@ -3,6 +3,8 @@
 #include <stdexcept>
 
 #include "common/log.hpp"
+#include "core/compiled_space.hpp"
+#include "core/dataset.hpp"
 
 namespace bat::core {
 
@@ -59,27 +61,35 @@ std::vector<Measurement> LiveBackend::evaluate_batch(
 
 // ---------------------------------------------------------- ReplayBackend --
 
-void ReplayBackend::warn_outside_valid_set(
-    const std::string& source, std::size_t row, ConfigIndex index,
-    const std::vector<std::string>& dataset_params) const {
-  // When the dataset's parameter schema disagrees with the space, say so
-  // explicitly — a stale (reordered/renamed) schema is the common cause
-  // of ordinal misses and looks exactly like a foreign path otherwise.
-  common::log_warn(
-      name_, ": dataset", source.empty() ? "" : " '" + source + "'", " row ",
-      row, " (config index ", index,
-      ") is outside this search space's valid set - falling back "
-      "from O(1) valid-ordinal lookup to hashed lookup (is this "
-      "dataset from a different space or constraint set?)",
-      replay_schema_hint(space_->params().param_names(), dataset_params));
-}
-
-bool ReplayBackend::contains(ConfigIndex index) const noexcept {
-  if (ordinal_mode_) {
-    const auto ordinal = compiled_->rank(index);
-    return ordinal && covered_[static_cast<std::size_t>(*ordinal)] != 0;
+ReplayBackend::ReplayBackend(const SearchSpace& space, const Dataset& dataset)
+    : space_(&space),
+      name_("replay:" + dataset.benchmark_name() + "@" +
+            dataset.device_name()) {
+  // Rows come from outside the program (an archive, a registered
+  // dataset), so on a materialized space each is probed against the
+  // valid set: the first foreign row warns once, naming the dataset and
+  // — when its parameter schema disagrees with the space, the common
+  // cause — the stale parameter.
+  const auto& compiled = space.compiled();
+  bool warned = !compiled.has_valid_set();
+  table_.reserve(dataset.size());
+  for (std::size_t row = 0; row < dataset.size(); ++row) {
+    const ConfigIndex index = dataset.config_index(row);
+    if (!warned && !compiled.rank(index)) {
+      warned = true;
+      common::log_warn(
+          name_, ": dataset",
+          dataset.source().empty() ? "" : " '" + dataset.source() + "'",
+          " row ", row, " (config index ", index,
+          ") is outside this search space's valid set (is this dataset "
+          "from a different space or constraint set?)",
+          replay_schema_hint(space.params().param_names(),
+                             dataset.param_names()));
+    }
+    // emplace keeps the first row of a duplicate index.
+    table_.emplace(index,
+                   Measurement{dataset.time_ms(row), dataset.status(row)});
   }
-  return table_.find(index) != table_.end();
 }
 
 std::vector<Measurement> ReplayBackend::evaluate_batch(
@@ -87,22 +97,13 @@ std::vector<Measurement> ReplayBackend::evaluate_batch(
   std::vector<Measurement> results;
   results.reserve(indices.size());
   for (const ConfigIndex index : indices) {
-    if (ordinal_mode_) {
-      const auto ordinal = compiled_->rank(index);
-      if (ordinal && covered_[static_cast<std::size_t>(*ordinal)] != 0) {
-        results.push_back(by_ordinal_[static_cast<std::size_t>(*ordinal)]);
-        continue;
-      }
-    } else {
-      const auto it = table_.find(index);
-      if (it != table_.end()) {
-        results.push_back(it->second);
-        continue;
-      }
+    const auto it = table_.find(index);
+    if (it == table_.end()) {
+      throw std::out_of_range(name_ + ": config index " +
+                              std::to_string(index) +
+                              " is not covered by the dataset");
     }
-    throw std::out_of_range(name_ + ": config index " +
-                            std::to_string(index) +
-                            " is not covered by the dataset");
+    results.push_back(it->second);
   }
   return results;
 }

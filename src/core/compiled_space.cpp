@@ -11,25 +11,28 @@ namespace bat::core {
 namespace {
 
 /// The walk's parallel driver: one serial walk per pool chunk of the
-/// product, each folding its valid indices into its own accumulator.
-/// Chunks are contiguous and ascending, so the partials come back in
-/// index order.
+/// product range [lo, hi), each folding its valid indices into its own
+/// accumulator. Chunks are contiguous and ascending, so the partials
+/// come back in index order.
 template <typename Acc, typename Step>
-std::vector<Acc> walk_in_parallel(const CompiledSpace& space, Step step) {
+std::vector<Acc> walk_in_parallel(const CompiledSpace& space, ConfigIndex lo,
+                                  ConfigIndex hi, Step step) {
   auto& pool = common::ThreadPool::global();
   std::vector<Acc> partial(pool.size());
   pool.parallel_for_chunked(
-      0, static_cast<std::size_t>(space.cardinality()),
-      [&](std::size_t lo, std::size_t hi, std::size_t worker) {
+      static_cast<std::size_t>(lo), static_cast<std::size_t>(hi),
+      [&](std::size_t chunk_lo, std::size_t chunk_hi, std::size_t worker) {
         auto& acc = partial[worker];
-        space.for_each_valid(lo, hi, [&](ConfigIndex i) { step(acc, i); });
+        space.for_each_valid(chunk_lo, chunk_hi,
+                             [&](ConfigIndex i) { step(acc, i); });
       });
   return partial;
 }
 
-std::vector<ConfigIndex> collect_valid(const CompiledSpace& space) {
+std::vector<ConfigIndex> collect_valid(const CompiledSpace& space,
+                                       ConfigIndex lo, ConfigIndex hi) {
   const auto partial = walk_in_parallel<std::vector<ConfigIndex>>(
-      space, [](auto& out, ConfigIndex i) { out.push_back(i); });
+      space, lo, hi, [](auto& out, ConfigIndex i) { out.push_back(i); });
   std::size_t total = 0;
   for (const auto& p : partial) total += p.size();
   std::vector<ConfigIndex> all;
@@ -99,7 +102,7 @@ CompiledSpace::CompiledSpace(const ParamSpace& params,
 
 void CompiledSpace::materialize() {
   // materialized_ is still false, so the walk decodes the product.
-  valid_ = collect_valid(*this);
+  valid_ = collect_valid(*this, 0, cardinality_);
 
   // Bucket the sorted valid set so rank() probes one ~2-entry slice:
   // shrink buckets until there are at least half as many as valid
@@ -184,14 +187,19 @@ std::uint64_t CompiledSpace::count_valid() const {
   if (materialized_) return valid_.size();
   std::uint64_t total = 0;
   for (const auto n : walk_in_parallel<std::uint64_t>(
-           *this, [](std::uint64_t& count, ConfigIndex) { ++count; })) {
+           *this, 0, cardinality_,
+           [](std::uint64_t& count, ConfigIndex) { ++count; })) {
     total += n;
   }
   return total;
 }
 
-std::vector<ConfigIndex> CompiledSpace::enumerate_valid() const {
-  return materialized_ ? valid_ : collect_valid(*this);
+std::vector<ConfigIndex> CompiledSpace::enumerate_valid(ConfigIndex lo,
+                                                        ConfigIndex hi) const {
+  BAT_EXPECTS(lo <= hi && hi <= cardinality_);
+  if (!materialized_) return collect_valid(*this, lo, hi);
+  return {std::lower_bound(valid_.begin(), valid_.end(), lo),
+          std::lower_bound(valid_.begin(), valid_.end(), hi)};
 }
 
 std::optional<std::uint64_t> CompiledSpace::rank(ConfigIndex index) const {

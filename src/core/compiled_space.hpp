@@ -1,9 +1,9 @@
 // CompiledSpace: a SearchSpace compiled once into index-space form.
 //
 // The hot paths of every layer above core (tuners stepping through
-// Hamming-1 neighborhoods, FFG construction, replay lookup, constrained
-// sampling) used to decode mixed-radix indices into Config value vectors
-// and re-run the full constraint set per candidate. CompiledSpace folds
+// Hamming-1 neighborhoods, FFG construction, constrained sampling) used
+// to decode mixed-radix indices into Config value vectors and re-run
+// the full constraint set per candidate. CompiledSpace folds
 // the space into three structures that make those paths index-native:
 //
 //  (a) per-parameter value tables + mixed-radix strides, so a Hamming-1
@@ -15,8 +15,7 @@
 //  (c) for enumerable spaces (cardinality <= Options::materialize_limit),
 //      a sorted CSR-bucketed valid-index set with O(1) rank/select:
 //      select(ordinal) is an array load, rank(index) probes one small
-//      bucket. The valid-ordinal domain is what ReplayBackend indexes
-//      and what FFG enumerates.
+//      bucket. The valid-ordinal domain is what FFG enumerates.
 //
 // Every pass that decodes indices and runs the full constraint set on
 // each is one walk, for_each_valid(): building the valid set,
@@ -115,17 +114,6 @@ class CompiledSpace {
   void decode_into(ConfigIndex index, Config& out) const;
 
   // --------------------------------------------------- constraint plan --
-  [[nodiscard]] std::size_t num_constraints() const noexcept {
-    return constraints_.size();
-  }
-  /// Ids of the constraints whose declared read set contains parameter p
-  /// (constraints with no declaration appear for every p).
-  [[nodiscard]] const std::vector<std::uint16_t>& constraints_touching(
-      std::size_t p) const {
-    BAT_EXPECTS(p < touching_.size());
-    return touching_[p];
-  }
-
   /// Full constraint check over a decoded value vector.
   [[nodiscard]] bool satisfied(const Config& values) const;
 
@@ -158,9 +146,14 @@ class CompiledSpace {
   /// materialized, a parallel walk of the product otherwise.
   [[nodiscard]] std::uint64_t count_valid() const;
 
-  /// All valid indices, ascending: the valid set when materialized, a
-  /// parallel walk of the product otherwise.
-  [[nodiscard]] std::vector<ConfigIndex> enumerate_valid() const;
+  /// The valid indices in [lo, hi), ascending: a slice of the valid set
+  /// when materialized, a parallel walk of the range otherwise.
+  [[nodiscard]] std::vector<ConfigIndex> enumerate_valid(ConfigIndex lo,
+                                                         ConfigIndex hi) const;
+  /// All valid indices, ascending.
+  [[nodiscard]] std::vector<ConfigIndex> enumerate_valid() const {
+    return enumerate_valid(0, cardinality_);
+  }
 
   // --------------------------------------------------------- valid set --
   [[nodiscard]] bool has_valid_set() const noexcept { return materialized_; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/contracts.hpp"
+#include "core/compiled_space.hpp"
 
 namespace bat::core {
 

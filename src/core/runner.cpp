@@ -89,19 +89,25 @@ std::size_t Runner::stream_exhaustive(const Benchmark& benchmark,
                                       std::size_t batch_rows) {
   batch_rows = std::max<std::size_t>(1, batch_rows);
   const auto& compiled = benchmark.space().compiled();
-  // One walk over the product: the valid set of a materialized space, a
-  // constraint filter over a streamed one. Memory stays at one batch
-  // regardless of cardinality — this is the out-of-core sweep path.
+  // The product is walked block by block: enumerate_valid splits each
+  // block over the pool (a streamed space's constraint filter is the
+  // costly part), then its valid indices stream on in order, batch by
+  // batch. Memory stays at one block's valid indices plus one batch
+  // whatever the cardinality — this is the out-of-core sweep path.
+  constexpr ConfigIndex kBlock = ConfigIndex{1} << 16;
   std::size_t emitted = 0;
   std::vector<ConfigIndex> batch;
   batch.reserve(batch_rows);
-  compiled.for_each_valid(0, compiled.cardinality(), [&](ConfigIndex index) {
-    batch.push_back(index);
-    if (batch.size() == batch_rows) {
-      emitted += stream_batch(benchmark, device, batch, sink);
-      batch.clear();
+  for (ConfigIndex lo = 0; lo < compiled.cardinality(); lo += kBlock) {
+    const ConfigIndex hi = lo + std::min(kBlock, compiled.cardinality() - lo);
+    for (const ConfigIndex index : compiled.enumerate_valid(lo, hi)) {
+      batch.push_back(index);
+      if (batch.size() == batch_rows) {
+        emitted += stream_batch(benchmark, device, batch, sink);
+        batch.clear();
+      }
     }
-  });
+  }
   if (!batch.empty()) emitted += stream_batch(benchmark, device, batch, sink);
   return emitted;
 }

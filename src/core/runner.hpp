@@ -7,8 +7,9 @@
 // stream_* builders push rows through a RowSink in evaluation batches,
 // never holding more than one batch of measurements in memory — the
 // out-of-core path io::DatasetWriter plugs into (a sweep's footprint is
-// then one evaluation batch + one writer chunk, independent of the
-// space size).
+// then one evaluation batch + one writer chunk, plus, for an exhaustive
+// sweep, the valid indices of one 2^16-index block of the product:
+// independent of the space size).
 //
 // Ownership / thread-safety: stateless static builders. Runner owns the
 // program's one evaluation fan-out: each batch splits over the global
@@ -67,8 +68,9 @@ class Runner {
   /// Streaming forms of the builders above: identical rows in identical
   /// order, but pushed through `sink` batch by batch with bounded
   /// memory. stream_exhaustive never materializes the valid-index list
-  /// for streamed (non-enumerable) spaces — it walks the full product
-  /// through CompiledSpace::for_each_valid.
+  /// for streamed (non-enumerable) spaces — it walks the full product in
+  /// fixed blocks, each split over the pool by
+  /// CompiledSpace::enumerate_valid(lo, hi).
   /// All three return the number of rows emitted.
   static std::size_t stream_exhaustive(const Benchmark& benchmark,
                                        DeviceIndex device, const RowSink& sink,

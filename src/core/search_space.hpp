@@ -54,9 +54,9 @@ class SearchSpace {
   /// that contract).
   [[nodiscard]] const CompiledSpace& compiled() const { return *compiled_; }
 
-  /// Shared-ownership form of compiled(): holders (e.g. ReplayBackend)
-  /// keep the compilation alive independently of this SearchSpace's
-  /// lifetime or later reassignment.
+  /// Shared-ownership form of compiled(): holders (e.g.
+  /// service::ShardedMeasurementCache) keep the compilation alive
+  /// independently of this SearchSpace's lifetime or later reassignment.
   [[nodiscard]] std::shared_ptr<const CompiledSpace> compiled_shared() const {
     return compiled_;
   }

@@ -116,41 +116,12 @@ std::shared_ptr<const core::Dataset> DatasetRepository::get(
   return datasets_.emplace(key, std::move(swept)).first->second;
 }
 
-std::shared_ptr<const DatasetView> DatasetRepository::view(
-    const std::string& benchmark, const std::string& device) {
-  const Key key{benchmark, device};
-  std::unique_lock lock(mutex_);
-  if (datasets_.count(key) != 0) return nullptr;  // memory is authoritative
-  const auto it = views_.find(key);
-  if (it != views_.end()) return it->second;
-  if (cache_dir_.empty()) return nullptr;
-  const auto path = archive_path(key, ".bin");
-  lock.unlock();
-  if (!std::filesystem::exists(path)) return nullptr;
-  auto view = DatasetView::open(path);
-  lock.lock();
-  return views_.emplace(key, std::move(view)).first->second;
-}
-
-void DatasetRepository::put(const std::string& benchmark,
-                            const std::string& device, core::Dataset dataset) {
-  auto shared = std::make_shared<const core::Dataset>(std::move(dataset));
-  std::lock_guard lock(mutex_);
-  datasets_.insert_or_assign(Key{benchmark, device}, std::move(shared));
-}
-
 std::shared_ptr<const core::Dataset> DatasetRepository::load_file(
     const std::string& path) {
   auto loaded = std::make_shared<const core::Dataset>(load_dataset(path));
   const Key key{loaded->benchmark_name(), loaded->device_name()};
   std::lock_guard lock(mutex_);
   return datasets_.insert_or_assign(key, std::move(loaded)).first->second;
-}
-
-void DatasetRepository::clear() {
-  std::lock_guard lock(mutex_);
-  datasets_.clear();
-  views_.clear();
 }
 
 }  // namespace bat::io

@@ -2,7 +2,7 @@
 // datasets through — one parse/sweep per key, shared everywhere.
 //
 // Resolution order for get():
-//   1. in-memory entries (registered via put() or previously resolved);
+//   1. in-memory entries (loaded via load_file() or previously resolved);
 //   2. the disk cache directory: <benchmark>_<device>.bin, then .csv;
 //   3. a Runner sweep under the paper's §V policy (core::Runner::
 //      run_default: exhaustive for small spaces, sampled otherwise),
@@ -11,10 +11,7 @@
 //
 // find() stops after (2) — callers with their own sweep policy (the
 // TuningService refuses to sweep non-enumerable spaces for replay) use
-// it to decide before paying for (3). view() exposes the zero-copy
-// mmap path to a key's binary archive for consumers that do not want a
-// materialized Dataset at all (the service builds its replay backends
-// straight from a view: core::ReplayBackend over an io::DatasetView).
+// it to decide before paying for (3).
 //
 // Ownership / thread-safety: all methods are thread-safe (one mutex;
 // sweeps run outside it, first insert wins — backends are
@@ -30,7 +27,6 @@
 
 #include "core/benchmark.hpp"
 #include "core/dataset.hpp"
-#include "io/dataset_view.hpp"
 
 namespace bat::io {
 
@@ -55,23 +51,10 @@ class DatasetRepository {
   [[nodiscard]] std::shared_ptr<const core::Dataset> get(
       const core::Benchmark& bench, core::DeviceIndex device);
 
-  /// The mmap view of the key's binary archive, or nullptr when the
-  /// key is served from memory (registered datasets are authoritative)
-  /// or no .bin archive exists. Views are opened once and shared.
-  [[nodiscard]] std::shared_ptr<const DatasetView> view(
-      const std::string& benchmark, const std::string& device);
-
-  /// Registers an in-memory dataset for (benchmark, device),
-  /// overriding disk and future sweeps for that key.
-  void put(const std::string& benchmark, const std::string& device,
-           core::Dataset dataset);
-
   /// Loads `path` (either format) and registers it under its own
-  /// (benchmark, device) identity; returns the shared entry.
+  /// (benchmark, device) identity, overriding disk and future sweeps for
+  /// that key; returns the shared entry.
   std::shared_ptr<const core::Dataset> load_file(const std::string& path);
-
-  /// Drops every cached entry/view (disk archives are untouched).
-  void clear();
 
  private:
   using Key = std::pair<std::string, std::string>;
@@ -84,7 +67,6 @@ class DatasetRepository {
   std::string cache_dir_;
   std::mutex mutex_;
   std::map<Key, std::shared_ptr<const core::Dataset>> datasets_;
-  std::map<Key, std::shared_ptr<const DatasetView>> views_;
 };
 
 }  // namespace bat::io

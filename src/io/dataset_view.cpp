@@ -136,13 +136,6 @@ core::ConfigIndex DatasetView::config_index(std::size_t row) const {
   return indices_column(row / header_.chunk_rows)[row % header_.chunk_rows];
 }
 
-core::Value DatasetView::param_value(std::size_t row,
-                                     std::size_t param) const {
-  BAT_EXPECTS(row < size());
-  return values_column(row / header_.chunk_rows,
-                       param)[row % header_.chunk_rows];
-}
-
 double DatasetView::time_ms(std::size_t row) const {
   BAT_EXPECTS(row < size());
   return times_column(row / header_.chunk_rows)[row % header_.chunk_rows];

@@ -12,12 +12,12 @@
 // the whole payload and destroy the O(1) open. Call verify_crc() when
 // integrity matters more than latency (`tune info --verify`).
 //
+// Consumers: io::load_dataset reads a binary archive into a Dataset
+// through materialize(), and `tune info` reads an archive's metadata and
+// whole-archive checks straight from the view.
+//
 // Ownership / thread-safety: immutable after open; concurrent reads
-// from any number of threads need no synchronization. Consumers that
-// outlive the opening scope share the view via shared_ptr
-// (io::DatasetRepository caches its views this way). core::ReplayBackend
-// replays a view directly: it reads the row API below once and copies
-// one Measurement per covered configuration.
+// from any number of threads need no synchronization.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +58,7 @@ class DatasetView {
  public:
   /// Maps `path` and validates header, footer and geometry (throws
   /// std::invalid_argument on malformation, std::runtime_error on I/O
-  /// failure). Shared ownership because backends outlive the opener.
+  /// failure).
   [[nodiscard]] static std::shared_ptr<const DatasetView> open(
       const std::string& path);
 
@@ -84,16 +84,8 @@ class DatasetView {
   [[nodiscard]] bool empty() const noexcept { return footer_.num_rows == 0; }
 
   [[nodiscard]] core::ConfigIndex config_index(std::size_t row) const;
-  [[nodiscard]] core::Value param_value(std::size_t row,
-                                        std::size_t param) const;
   [[nodiscard]] double time_ms(std::size_t row) const;
   [[nodiscard]] core::MeasureStatus status(std::size_t row) const;
-  [[nodiscard]] bool row_ok(std::size_t row) const {
-    return status(row) == core::MeasureStatus::kOk;
-  }
-  [[nodiscard]] core::Measurement measurement(std::size_t row) const {
-    return core::Measurement{time_ms(row), status(row)};
-  }
   void config_into(std::size_t row, core::Config& out) const;
 
   // -------------------------------------------------- column access --

@@ -62,10 +62,6 @@ EventLoop::~EventLoop() {
   if (wake_pipe_[1] >= 0) ::close(wake_pipe_[1]);
 }
 
-const char* EventLoop::backend_name() const noexcept {
-  return use_epoll_ ? "epoll" : "poll";
-}
-
 void EventLoop::start() {
   if (started_) {
     throw std::runtime_error("event loop: start() called twice");
@@ -157,7 +153,6 @@ void EventLoop::epoll_update(int fd, std::uint32_t interest, bool adding) {
 #endif
 
 void EventLoop::run() {
-  thread_id_.store(std::this_thread::get_id());
   while (!stop_flag_.load()) {
     poll_once();
   }
@@ -171,7 +166,6 @@ void EventLoop::run() {
     remaining.swap(tasks_);
   }
   for (auto& task : remaining) task();
-  thread_id_.store(std::thread::id{});
 }
 
 void EventLoop::poll_once() {

@@ -74,11 +74,6 @@ class EventLoop {
   /// stopped accepting work.
   bool post(Task task);
 
-  [[nodiscard]] bool in_loop_thread() const noexcept {
-    return std::this_thread::get_id() == thread_id_.load();
-  }
-  [[nodiscard]] const char* backend_name() const noexcept;
-
  private:
   struct Entry {
     std::uint32_t interest = 0;
@@ -102,7 +97,6 @@ class EventLoop {
   std::unordered_map<int, Entry> entries_;  // loop-thread-owned
 
   std::thread thread_;
-  std::atomic<std::thread::id> thread_id_{};
   std::atomic<bool> stop_flag_{false};
   bool started_ = false;
 

@@ -136,10 +136,6 @@ class SessionLog {
 
   [[nodiscard]] DurabilityStats stats() const;
 
-  [[nodiscard]] const std::string& journal_path() const noexcept {
-    return journal_->path();
-  }
-
   // --- record codecs, exposed for tests and tooling ---
 
   static constexpr std::uint8_t kSubmitRecord = 1;

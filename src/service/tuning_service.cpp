@@ -363,44 +363,45 @@ void TuningService::build_workload(const SessionSpec& spec,
         std::to_string(workload->benchmark->device_count()) + ")");
   }
   if (spec.backend == "replay") {
-    const std::string device_name =
-        workload->benchmark->device_name(spec.device);
-    // Repository keys are (benchmark, device *name*), known only now
-    // that the kernel is built. In memory, a registered dataset
-    // shadows an archive of the same key.
+    // The rows come from one of three sources, in order: a registered
+    // dataset, which shadows an archive of the same key; the repository
+    // (memory, then <kernel>_<device>.{bin,csv} in dataset_dir); an
+    // exhaustive sweep. The backend copies them, so a registered dataset
+    // is freed once the workload is built.
     std::unique_lock lock(mutex_);
     auto registered = registered_.extract({spec.kernel, spec.device});
     lock.unlock();
+    std::shared_ptr<const core::Dataset> dataset;
     if (registered) {
-      repo_.put(spec.kernel, device_name, std::move(registered.mapped()));
-    }
-    // A binary archive in dataset_dir (and no registered in-memory
-    // dataset shadowing it) replays from its mmap'ed columns, without
-    // materializing a Dataset.
-    if (const auto view = repo_.view(spec.kernel, device_name)) {
-      common::log_info("service: replaying ", spec.kernel, "@", device_name,
-                       " from ", view->source());
-      workload->backend = std::make_unique<core::ReplayBackend>(
-          workload->benchmark->space(), *view);
+      dataset = std::make_shared<const core::Dataset>(
+          std::move(registered.mapped()));
     } else {
-      auto dataset = repo_.find(spec.kernel, device_name);
-      if (!dataset) {
-        // Replay sessions that have to sweep the space themselves are
-        // only sound (and affordable) on exhaustively swept spaces.
-        if (workload->benchmark->space().cardinality() >
-            core::kExhaustiveLimit) {
-          throw std::invalid_argument(
-              spec.kernel +
-              ": replay sessions need a registered dataset (space too large "
-              "to sweep exhaustively)");
-        }
-        common::log_info("service: sweeping ", spec.kernel, " device ",
-                         spec.device, " for the shared replay dataset");
-        dataset = repo_.get(*workload->benchmark, spec.device);
+      // Repository keys are (benchmark, device *name*), known only now
+      // that the kernel is built.
+      const std::string device_name =
+          workload->benchmark->device_name(spec.device);
+      dataset = repo_.find(spec.kernel, device_name);
+      if (dataset) {
+        common::log_info("service: replaying ", spec.kernel, "@", device_name,
+                         " from ", dataset->source());
       }
-      workload->backend = std::make_unique<core::ReplayBackend>(
-          workload->benchmark->space(), *dataset);
     }
+    if (!dataset) {
+      // Replay sessions that have to sweep the space themselves are
+      // only sound (and affordable) on exhaustively swept spaces.
+      if (workload->benchmark->space().cardinality() >
+          core::kExhaustiveLimit) {
+        throw std::invalid_argument(
+            spec.kernel +
+            ": replay sessions need a registered dataset (space too large "
+            "to sweep exhaustively)");
+      }
+      common::log_info("service: sweeping ", spec.kernel, " device ",
+                       spec.device, " for the shared replay dataset");
+      dataset = repo_.get(*workload->benchmark, spec.device);
+    }
+    workload->backend = std::make_unique<core::ReplayBackend>(
+        workload->benchmark->space(), *dataset);
   } else {
     workload->backend =
         std::make_unique<core::LiveBackend>(*workload->benchmark, spec.device);

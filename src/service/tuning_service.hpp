@@ -74,10 +74,10 @@ struct ServiceOptions {
   /// Worker threads running sessions; 0 = hardware_concurrency().
   std::size_t workers = 0;
   /// Disk cache for replay datasets, handed to the service's
-  /// DatasetRepository: binary archives found there replay from their
-  /// mmap'ed columns, copied once per workload (no Dataset is
-  /// materialized), and service-swept datasets persist back into it.
-  /// "" keeps the repository memory-only (the pre-io behavior).
+  /// DatasetRepository: a replay workload with no registered dataset
+  /// loads <kernel>_<device>.{bin,csv} from here, and service-swept
+  /// datasets persist back into it. "" keeps the repository
+  /// memory-only.
   std::string dataset_dir;
   /// Durable session journal directory. "" (default) keeps the
   /// tracked-session registry memory-only (a restart forgets it); set,
@@ -188,8 +188,8 @@ class TuningService {
 
  private:
   /// Everything sessions on one (kernel, device, backend) triple share.
-  /// A replay backend copies its rows from the repository-resolved
-  /// dataset or mmap'ed archive, and borrows neither.
+  /// A replay backend copies its rows from a registered dataset or one
+  /// the repository resolved, and borrows neither.
   struct Workload {
     std::unique_ptr<core::Benchmark> benchmark;
     std::unique_ptr<core::EvaluationBackend> backend;
@@ -241,7 +241,7 @@ class TuningService {
   std::size_t outstanding_ = 0;  // submitted, not finished
   std::map<WorkloadKey, std::shared_ptr<WorkloadSlot>> workloads_;
   /// register_dataset()'s datasets, held until the replay workload on
-  /// their (kernel, device) is built and moves them into repo_.
+  /// their (kernel, device) copies their rows, then freed.
   std::map<std::pair<std::string, core::DeviceIndex>, core::Dataset>
       registered_;
   io::DatasetRepository repo_;

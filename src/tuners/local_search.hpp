@@ -9,9 +9,28 @@
 // thread (see the ownership notes in tuners/tuner.hpp).
 #pragma once
 
+#include <utility>
+#include <vector>
+
 #include "tuners/tuner.hpp"
 
 namespace bat::tuners {
+
+/// Reusable buffers for descend(), so a descent allocates nothing per
+/// step.
+struct DescentScratch {
+  core::NeighborScratch neighbor;
+  std::vector<core::ConfigIndex> neighbors;
+};
+
+/// Greedy first-improvement descent from `start`, whose objective is
+/// `start_obj`: visits the valid Hamming-1 neighbors in random order,
+/// moves to the first strictly better one and repeats until none is.
+/// Returns the local minimum and its objective. LocalSearch restarts it
+/// from random configurations, IteratedLocalSearch from perturbations.
+std::pair<core::ConfigIndex, double> descend(
+    core::CachingEvaluator& evaluator, common::Rng& rng,
+    DescentScratch& scratch, core::ConfigIndex start, double start_obj);
 
 class LocalSearch final : public Tuner {
  public:

@@ -6,6 +6,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "common/log.hpp"
 #include "core/backend.hpp"
 #include "core/evaluator.hpp"
 #include "core/runner.hpp"
@@ -160,20 +161,44 @@ TEST(Runner, StreamExhaustiveOnAStreamedSpaceMatchesBruteForce) {
   expect_rows_match_serial_live(bench, streamed, expected);
 }
 
-TEST(ReplayBackend, ServesDatasetMeasurementsExactly) {
-  const auto bench = kernels::make("pnpoly");
-  const auto ds = Runner::run_exhaustive(*bench, 0);
-  ReplayBackend backend(bench->space(), ds);
+/// Replays `ds` over `bench`'s space and checks `indices` against live
+/// evaluation, and that building the backend logged no warning.
+void expect_replay_matches_live(const Benchmark& bench, const Dataset& ds,
+                                const std::vector<ConfigIndex>& indices) {
+  std::vector<std::string> warnings;
+  common::set_log_sink([&](common::LogLevel level, const std::string& msg) {
+    if (level == common::LogLevel::kWarn) warnings.push_back(msg);
+  });
+  ReplayBackend backend(bench.space(), ds);
+  common::set_log_sink(nullptr);
+  EXPECT_TRUE(warnings.empty()) << warnings.front();
   EXPECT_EQ(backend.size(), ds.size());
 
-  const auto indices = sample_indices(*bench, 32, 3);
-  LiveBackend live(*bench, 0);
+  LiveBackend live(bench, 0);
   const auto replayed = backend.evaluate_batch(indices);
   const auto lived = live.evaluate_batch(indices);
   for (std::size_t i = 0; i < indices.size(); ++i) {
     EXPECT_DOUBLE_EQ(replayed[i].objective(), lived[i].objective());
     EXPECT_EQ(replayed[i].status, lived[i].status);
   }
+}
+
+// Two inputs: pnpoly's exhaustive sweep of a materialized space, and a
+// hotspot sample over a streamed space, which has no valid set to probe
+// the rows against.
+TEST(ReplayBackend, ServesDatasetMeasurementsExactly) {
+  const auto pnpoly = kernels::make("pnpoly");
+  expect_replay_matches_live(*pnpoly, Runner::run_exhaustive(*pnpoly, 0),
+                             sample_indices(*pnpoly, 32, 3));
+
+  const auto hotspot = kernels::make("hotspot");
+  ASSERT_FALSE(hotspot->space().compiled().has_valid_set());
+  const auto sampled = Runner::run_sampled(*hotspot, 0, 500, 3);
+  std::vector<ConfigIndex> rows;
+  for (std::size_t r = 0; r < sampled.size(); r += 16) {
+    rows.push_back(sampled.config_index(r));
+  }
+  expect_replay_matches_live(*hotspot, sampled, rows);
 }
 
 TEST(ReplayBackend, ThrowsOnUncoveredIndex) {
@@ -500,9 +525,9 @@ TEST(TraceStats, BestAndBestSoFarHelpers) {
 }
 
 // A dataset with rows outside this space's valid set (foreign space or
-// constraint set) must degrade to hashed lookup — with a one-time
-// warning naming the dataset — and still serve every row faithfully.
-TEST(ReplayBackend, ForeignDatasetFallsBackToHashedLookup) {
+// constraint set) logs a one-time warning naming the dataset, and still
+// serves every row faithfully.
+TEST(ReplayBackend, ForeignDatasetStillServesEveryRow) {
   const auto bench = kernels::make("gemm");  // constrained + materialized
   const auto& space = bench->space();
   const auto& params = space.params();
@@ -521,7 +546,7 @@ TEST(ReplayBackend, ForeignDatasetFallsBackToHashedLookup) {
   ds.add(foreign, params.config_at(foreign),
          Measurement::invalid(MeasureStatus::kInvalidConstraint));
 
-  ReplayBackend backend(space, ds);  // logs the fallback warning once
+  ReplayBackend backend(space, ds);  // logs the foreign-row warning once
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ConfigIndex one[1] = {rows[i]};
     EXPECT_DOUBLE_EQ(backend.evaluate_batch(one).front().objective(),

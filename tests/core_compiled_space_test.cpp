@@ -160,6 +160,7 @@ TEST(CompiledSpace, StreamedWalkMatchesBruteForce) {
       std::vector<ConfigIndex> walked;
       cs->for_each_valid(lo, hi, [&](ConfigIndex i) { walked.push_back(i); });
       EXPECT_EQ(walked, in_range);
+      EXPECT_EQ(cs->enumerate_valid(lo, hi), in_range);
     }
   }
 }

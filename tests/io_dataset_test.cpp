@@ -11,6 +11,7 @@
 #include "common/csv.hpp"
 #include "common/log.hpp"
 #include "core/backend.hpp"
+#include "core/compiled_space.hpp"
 #include "core/dataset.hpp"
 #include "core/runner.hpp"
 #include "io/dataset_file.hpp"
@@ -273,8 +274,7 @@ TEST(DatasetView, CorruptPayloadFailsCrcVerification) {
 
 // The golden pair is checked into tests/data/: a canonical CSV and the
 // binary archive converted from it. Both must load, agree row-for-row,
-// and keep first-row-wins semantics whether replay reads a Dataset or
-// the archive's DatasetView.
+// and keep first-row-wins semantics when replayed.
 TEST(GoldenFixtures, CsvAndBinaryAgree) {
   const auto csv = io::load_dataset(data_path("golden_small.csv"));
   const auto bin = io::load_dataset(data_path("golden_small.bin"));
@@ -287,8 +287,8 @@ TEST(GoldenFixtures, FirstRowWinsAcrossFormatsAndBackends) {
   const auto space = golden_space();
   const auto csv = io::load_dataset(data_path("golden_small.csv"));
   core::ReplayBackend from_csv(space, csv);
-  const auto view = io::DatasetView::open(data_path("golden_small.bin"));
-  core::ReplayBackend from_bin(space, *view);
+  const auto bin = io::load_dataset(data_path("golden_small.bin"));
+  core::ReplayBackend from_bin(space, bin);
   for (core::ConfigIndex index = 0; index < 4; ++index) {
     const core::ConfigIndex batch[1] = {index};
     const auto a = from_csv.evaluate_batch(batch).front();
@@ -411,7 +411,9 @@ TEST(ReplayBackend, FallbackWarningNamesStaleSchema) {
   common::set_log_sink(nullptr);
 
   ASSERT_EQ(warnings.size(), 1u);
-  EXPECT_NE(warnings[0].find("falling back"), std::string::npos);
+  EXPECT_NE(warnings[0].find("outside this search space's valid set"),
+            std::string::npos)
+      << warnings[0];
   EXPECT_NE(warnings[0].find("stale"), std::string::npos) << warnings[0];
   EXPECT_NE(warnings[0].find("order mismatch"), std::string::npos)
       << warnings[0];
@@ -442,17 +444,6 @@ TEST(DatasetRepository, ResolvesMemoryThenDiskThenSweep) {
   const auto from_disk = second.find("pnpoly", device);
   ASSERT_NE(from_disk, nullptr);
   expect_datasets_equal(*from_disk, *swept);
-
-  // 3) The zero-copy view of the same archive.
-  io::DatasetRepository third(dir);
-  const auto view = third.view("pnpoly", device);
-  ASSERT_NE(view, nullptr);
-  EXPECT_EQ(view->size(), swept->size());
-
-  // 4) A registered in-memory dataset shadows the archive.
-  third.put("pnpoly", device, tricky_dataset());
-  EXPECT_EQ(third.view("pnpoly", device), nullptr);
-  EXPECT_EQ(third.find("pnpoly", device)->size(), tricky_dataset().size());
 }
 
 TEST(DatasetRepository, LoadFileRegistersUnderOwnIdentity) {

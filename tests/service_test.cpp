@@ -228,12 +228,11 @@ TEST(TuningService, SessionTraceMatchesStandaloneRun) {
   }
 }
 
-// A binary archive in dataset_dir serves replay sessions from its
-// mmap'ed columns (core::ReplayBackend over an io::DatasetView, no
-// materialized Dataset) — and the traces it yields are identical to
-// replaying the same rows from an in-memory registered dataset: where
-// measurements live must never change what a session observes.
-TEST(TuningService, ZeroCopyReplayFromDatasetDirMatchesInMemory) {
+// A binary archive in dataset_dir serves replay sessions — and the
+// traces it yields are identical to replaying the same rows from an
+// in-memory registered dataset: where measurements live must never
+// change what a session observes.
+TEST(TuningService, ArchiveReplayFromDatasetDirMatchesInMemory) {
   namespace fs = std::filesystem;
   const auto dir = fs::path(::testing::TempDir()) / "svc_dataset_dir";
   fs::remove_all(dir);

@@ -3,16 +3,17 @@
 # build of the concurrency-critical tests (evaluator/backend batching,
 # the thread pool, the compiled index-space core, the session journal
 # and the GBDT's histogram split finder), a TSan build of the service
-# layer (concurrent sessions + journal group commit), an io round trip,
-# an obs stage (the bench built with and without -DBAT_OBS_OFF, gated
-# at 1.03x in BENCH_obs.json on pinned on/off process pairs), a net
-# stage (a live server driven by `tune remote`, whose sync and async
-# runs of one spec must carry identical traces, plus a Prometheus
-# scrape), a kill -9 durability stage (a journaled server killed
-# mid-grid must recover every submitted session id and converge to the
-# uninterrupted results), the net throughput gates, finished by a bench
-# smoke stage that exercises the compiled-space paths end to end on
-# reduced sizes.
+# layer (concurrent sessions + journal group commit), an io stage (a
+# dataset format round trip, and a swept archive replayed through
+# `tune grid --dataset-dir`), an obs stage (the bench built with and
+# without -DBAT_OBS_OFF, gated at 1.03x in BENCH_obs.json on pinned
+# on/off process pairs), a net stage (a live server driven by `tune
+# remote`, whose sync and async runs of one spec must carry identical
+# traces, plus a Prometheus scrape), a kill -9 durability stage (a
+# journaled server killed mid-grid must recover every submitted session
+# id and converge to the uninterrupted results), the net throughput
+# gates, finished by a bench smoke stage that exercises the
+# compiled-space paths end to end on reduced sizes.
 #
 #   $ tools/ci.sh [build_dir]
 set -euo pipefail
@@ -117,7 +118,7 @@ for t in "${TSAN_TESTS[@]}"; do
   "${TSAN_DIR}/${t}"
 done
 
-echo "=== io stage: dataset convert round-trip smoke ==="
+echo "=== io stage: dataset convert round-trip + archive replay smoke ==="
 # csv -> binary -> csv through the release tune binary must be
 # bit-identical on a freshly swept archive (docs/dataset-format.md),
 # and the archive must pass its CRC.
@@ -139,6 +140,24 @@ trap cleanup EXIT
 "${BUILD_DIR}/tune" convert --in "${IO_TMP}/b.bin" --out "${IO_TMP}/b.csv"
 cmp "${IO_TMP}/a.csv" "${IO_TMP}/b.csv"
 echo "csv -> binary -> csv round-trip is bit-identical"
+# Archive replay end to end: the swept archive, named
+# <kernel>_<device>.bin in a --dataset-dir, must replay to the same
+# kernel, tuner, seed, status, evals and best columns as a grid whose
+# service sweeps pnpoly in memory (the wall column differs run to run).
+PNPOLY_DEVICE="$("${BUILD_DIR}/tune" info --dataset "${IO_TMP}/pnpoly.bin" \
+    | awk '$1 == "device:" { print $2 }')"
+mkdir -p "${IO_TMP}/archives"
+cp "${IO_TMP}/pnpoly.bin" "${IO_TMP}/archives/pnpoly_${PNPOLY_DEVICE}.bin"
+REPLAY_GRID=(grid --kernels pnpoly --tuners local,genetic,pso --sessions 6
+             --budget 100 --backend replay)
+"${BUILD_DIR}/tune" "${REPLAY_GRID[@]}" --dataset-dir "${IO_TMP}/archives" \
+    | cut -d'|' -f1-7 > "${IO_TMP}/grid_archive.txt"
+# A grid that found no archive would have swept and written one here.
+[ "$(ls "${IO_TMP}/archives")" = "pnpoly_${PNPOLY_DEVICE}.bin" ]
+"${BUILD_DIR}/tune" "${REPLAY_GRID[@]}" \
+    | cut -d'|' -f1-7 > "${IO_TMP}/grid_memory.txt"
+diff "${IO_TMP}/grid_memory.txt" "${IO_TMP}/grid_archive.txt"
+echo "archive replay through --dataset-dir matches the in-memory sweep"
 
 echo "=== obs overhead (BENCH_obs.json): instrumented vs BAT_OBS_OFF ==="
 # The observability tax, measured: the same bench binary built twice —

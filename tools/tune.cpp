@@ -11,7 +11,7 @@
 //
 //   tune grid   --kernels gemm,hotspot --tuners local,annealing,ils
 //               --sessions 16 [--budget 150] [--seed 1000] [--device 0]
-//               [--backend live|replay] [--workers N]
+//               [--backend live|replay] [--workers N] [--dataset-dir DIR]
 //       Round-robins the kernel x tuner combinations into --sessions
 //       concurrent sessions (seeds increment per session) through one
 //       TuningService; reports per-session results.
@@ -306,9 +306,9 @@ int cmd_grid(const Args& args) {
 
   service::ServiceOptions options;
   options.workers = args.get_size("workers", 0);
-  // Replay sessions resolve <kernel>_<device>.{bin,csv} archives from
-  // this directory (binary ones from the mmap'ed columns, without
-  // materializing a Dataset) and persist swept datasets back into it.
+  // Replay sessions load <kernel>_<device>.{bin,csv} archives from this
+  // directory into the replay table and persist swept datasets back
+  // into it.
   options.dataset_dir = args.get("dataset-dir", "");
   service::TuningService svc(options);
 
