@@ -9,6 +9,7 @@
 // Tuner-side micros run in the index currency tuners use: valid draws
 // and Hamming-1 neighbors come from the compiled space (CompiledSpace),
 // evaluations go through CachingEvaluator::evaluate_index.
+// BM_TunerSession times whole population-tuner sessions.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -30,6 +31,7 @@
 #include "net/http.hpp"
 #include "service/session_json.hpp"
 #include "service/tuning_service.hpp"
+#include "tuners/tuner.hpp"
 
 namespace {
 
@@ -259,6 +261,28 @@ void BM_TunerStepLocalSearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TunerStepLocalSearch);
+
+void BM_TunerSession(benchmark::State& state, const char* tuner_name,
+                     const char* kernel) {
+  // One budget-500 session over a replayed exhaustive dataset, seeds
+  // 1..10 in turn: the two costliest cells of a `tune grid` round, where
+  // a converged population keeps re-proposing cached configurations and
+  // tuner bookkeeping, not evaluation, sets the session's time.
+  const auto bench = kernels::make(kernel);
+  const auto ds = core::Runner::run_exhaustive(*bench, 0);
+  core::ReplayBackend backend(bench->space(), ds);
+  std::uint64_t session = 0;
+  for (auto _ : state) {
+    const auto tuner = tuners::make_tuner(tuner_name);
+    const auto run =
+        tuners::run_tuner(*tuner, backend, 500, 1 + session++ % 10);
+    benchmark::DoNotOptimize(run.trace.data());
+  }
+}
+BENCHMARK_CAPTURE(BM_TunerSession, de_nbody, "de", "nbody")
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_TunerSession, genetic_pnpoly, "genetic", "pnpoly")
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_BatchEvaluateLive(benchmark::State& state) {
   // The batched hot path: one generation evaluated serially by

@@ -22,23 +22,6 @@ void Xoshiro256StarStar::jump() noexcept {
   state_ = acc;
 }
 
-std::uint64_t Rng::next_below(std::uint64_t bound) {
-  BAT_EXPECTS(bound > 0);
-  // Lemire's nearly-divisionless method.
-  std::uint64_t x = gen_();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (lo < threshold) {
-      x = gen_();
-      m = static_cast<__uint128_t>(x) * bound;
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   BAT_EXPECTS(lo <= hi);
   const auto range =
@@ -47,11 +30,6 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
     return static_cast<std::int64_t>(gen_());
   }
   return lo + static_cast<std::int64_t>(next_below(range));
-}
-
-double Rng::uniform() {
-  // 53 random mantissa bits -> uniform in [0, 1).
-  return static_cast<double>(gen_() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) {

@@ -7,6 +7,10 @@
 //     std::uniform_random_bit_generator)
 //   * mix64 / hash_combine — stateless hashing used to derive deterministic
 //     per-(config, device) measurement noise.
+//
+// Rng's two hottest draws, next_below and uniform(), are defined in this
+// header so that they inline into the tuners' loops: a tuning grid
+// makes millions of them, and a call each cost more than the draw.
 #pragma once
 
 #include <array>
@@ -103,14 +107,31 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x2545f4914f6cdd1dULL) : gen_(seed) {}
 
-  /// Uniform integer in [0, bound) using Lemire's multiply-shift rejection.
-  [[nodiscard]] std::uint64_t next_below(std::uint64_t bound);
+  /// Uniform integer in [0, bound) using Lemire's nearly-divisionless
+  /// multiply-shift rejection.
+  [[nodiscard]] std::uint64_t next_below(std::uint64_t bound) {
+    BAT_EXPECTS(bound > 0);
+    std::uint64_t x = gen_();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (lo < threshold) {
+        x = gen_();
+        m = static_cast<__uint128_t>(x) * bound;
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive.
   [[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
-  /// Uniform double in [0, 1).
-  [[nodiscard]] double uniform();
+  /// Uniform double in [0, 1): 53 random mantissa bits.
+  [[nodiscard]] double uniform() {
+    return static_cast<double>(gen_() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   [[nodiscard]] double uniform(double lo, double hi);

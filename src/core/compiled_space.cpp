@@ -129,10 +129,11 @@ void CompiledSpace::decode_digits(ConfigIndex index,
                                   std::vector<std::uint32_t>& digits) const {
   BAT_EXPECTS(index < cardinality_);
   digits.resize(values_.size());
-  for (std::size_t p = 0; p < values_.size(); ++p) {
-    digits[p] = static_cast<std::uint32_t>(
-        (index / strides_[p]) % static_cast<ConfigIndex>(values_[p].size()));
-  }
+  for_each_digit(
+      index, values_.size(), [&](std::size_t p) { return values_[p].size(); },
+      [&](std::size_t p, std::size_t d) {
+        digits[p] = static_cast<std::uint32_t>(d);
+      });
 }
 
 ConfigIndex CompiledSpace::index_of_digits(
@@ -149,11 +150,9 @@ ConfigIndex CompiledSpace::index_of_digits(
 void CompiledSpace::decode_into(ConfigIndex index, Config& out) const {
   BAT_EXPECTS(index < cardinality_);
   out.resize(values_.size());
-  for (std::size_t p = 0; p < values_.size(); ++p) {
-    const auto digit = static_cast<std::size_t>(
-        (index / strides_[p]) % static_cast<ConfigIndex>(values_[p].size()));
-    out[p] = values_[p][digit];
-  }
+  for_each_digit(
+      index, values_.size(), [&](std::size_t p) { return values_[p].size(); },
+      [&](std::size_t p, std::size_t d) { out[p] = values_[p][d]; });
 }
 
 void CompiledSpace::decode_values(const std::vector<std::uint32_t>& digits,

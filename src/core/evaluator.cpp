@@ -1,6 +1,7 @@
 #include "core/evaluator.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/contracts.hpp"
 #include "core/compiled_space.hpp"
@@ -11,7 +12,7 @@ CachingEvaluator::CachingEvaluator(EvaluationBackend& backend,
                                    std::size_t budget, EvaluationHooks hooks)
     : backend_(&backend), budget_(budget), hooks_(hooks) {
   BAT_EXPECTS(budget > 0);
-  memo_.reserve(std::min<std::size_t>(budget, 1 << 16));
+  reserve_memo(std::min<std::size_t>(budget, 1 << 16));
   const auto& compiled = backend.space().compiled();
   if (compiled.has_valid_set()) unseen_valid_ = compiled.num_valid();
 }
@@ -21,7 +22,7 @@ double CachingEvaluator::evaluate_index(ConfigIndex index) {
   return evaluate_batch(indices).front();
 }
 
-std::vector<double> CachingEvaluator::evaluate_batch(
+std::span<const double> CachingEvaluator::evaluate_batch(
     std::span<const ConfigIndex> indices) {
   // Every tuner measurement funnels through here, so these spans give a
   // traced session its evaluate-phase timeline. A larger batch (a
@@ -51,35 +52,48 @@ std::vector<double> CachingEvaluator::evaluate_batch(
     throw EvaluationCancelled();
   }
 
-  // First-occurrence misses, in batch order, truncated to the remaining
-  // budget. `truncated` means at least one miss was refused.
-  std::vector<ConfigIndex> misses;
+  // One probe per index. A first-occurrence miss is entered at the
+  // trace position it will take, so a duplicate later in the batch
+  // finds it and is charged once. Misses are cut at the remaining
+  // budget; `truncated` means at least one was refused. The memo is
+  // grown first, so no entry moves while the batch holds its slots.
+  const std::size_t traced = trace_.size();
+  reserve_memo(traced + std::min(indices.size(), budget_ - traced));
+  misses_.clear();
+  positions_.resize(indices.size());
   bool truncated = false;
-  {
-    std::size_t remaining = budget_ - trace_.size();
-    for (const ConfigIndex index : indices) {
-      if (memo_.find(index) != memo_.end()) continue;
-      if (std::find(misses.begin(), misses.end(), index) != misses.end()) {
-        continue;  // duplicate within this batch: charged once
-      }
-      if (misses.size() >= remaining) {
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    MemoSlot& slot = probe(indices[i]);
+    if (slot.index == kEmptySlot) {
+      if (traced + misses_.size() >= budget_) {
         truncated = true;
         break;
       }
-      misses.push_back(index);
+      slot = MemoSlot{indices[i], traced + misses_.size()};
+      misses_.push_back(indices[i]);
     }
+    positions_[i] = slot.position;
   }
 
   const auto& compiled = space().compiled();
-  if (!misses.empty()) {
+  if (!misses_.empty()) {
     idle_calls_ = 0;
-    const auto measured = hooks_.shared_cache
-                              ? resolve_through_shared_cache(misses)
-                              : backend_->evaluate_batch(misses);
-    for (std::size_t i = 0; i < misses.size(); ++i) {
-      memo_.emplace(misses[i], measured[i].objective());
-      trace_.push_back(TraceEntry{misses[i], measured[i].objective()});
-      if (unseen_valid_ != kUncounted && compiled.is_valid_index(misses[i])) {
+    std::vector<Measurement> measured;
+    try {
+      measured = hooks_.shared_cache ? resolve_through_shared_cache(misses_)
+                                     : backend_->evaluate_batch(misses_);
+      trace_.resize(traced + misses_.size());
+    } catch (...) {
+      // Withdraw this batch's entries, last first: each is then the
+      // newest entry, so emptying its slot restores the memo exactly.
+      for (std::size_t k = misses_.size(); k-- > 0;) {
+        probe(misses_[k]) = MemoSlot{kEmptySlot, 0};
+      }
+      throw;
+    }
+    for (std::size_t k = 0; k < misses_.size(); ++k) {
+      trace_[traced + k] = TraceEntry{misses_[k], measured[k].objective()};
+      if (unseen_valid_ != kUncounted && compiled.is_valid_index(misses_[k])) {
         --unseen_valid_;
       }
     }
@@ -94,12 +108,33 @@ std::vector<double> CachingEvaluator::evaluate_batch(
   }
   if (truncated) throw BudgetExhausted();
 
-  std::vector<double> results;
-  results.reserve(indices.size());
-  for (const ConfigIndex index : indices) {
-    results.push_back(memo_.at(index));
+  results_.resize(indices.size());
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    results_[i] = trace_[positions_[i]].objective;
   }
-  return results;
+  return results_;
+}
+
+CachingEvaluator::MemoSlot& CachingEvaluator::probe(
+    ConfigIndex index) noexcept {
+  // Fibonacci hashing: the product's top bits pick the home slot.
+  const std::size_t mask = memo_.size() - 1;
+  auto slot = static_cast<std::size_t>((index * 0x9e3779b97f4a7c15ULL) >>
+                                       memo_shift_);
+  while (memo_[slot].index != kEmptySlot && memo_[slot].index != index) {
+    slot = (slot + 1) & mask;
+  }
+  return memo_[slot];
+}
+
+void CachingEvaluator::reserve_memo(std::size_t entries) {
+  if (2 * entries <= memo_.size()) return;
+  const std::size_t capacity = std::bit_ceil(2 * entries);
+  memo_.assign(capacity, MemoSlot{kEmptySlot, 0});
+  memo_shift_ = 64 - std::countr_zero(capacity);
+  for (std::size_t i = 0; i < trace_.size(); ++i) {
+    probe(trace_[i].index) = MemoSlot{trace_[i].index, i};
+  }
 }
 
 std::vector<Measurement> CachingEvaluator::resolve_through_shared_cache(

@@ -6,13 +6,20 @@
 // the paper's convergence plots (Fig 2) are "best objective so far vs
 // number of *distinct* function evaluations".
 //
+// The memo is the trace's index: an open-addressed table from
+// ConfigIndex to the entry's position in the trace, which already holds
+// the objective. It is sized from the budget and doubles past half
+// load, so a hit costs one probe and allocates nothing.
+//
 // Tuners drive it by ConfigIndex until it throws BudgetExhausted:
 //   * evaluate_index(index), one evaluation at a time (the single-point
 //     tuners);
 //   * evaluate_batch(indices), a whole population generation in one
 //     call. A batch crossing the budget boundary is truncated so the
 //     trace ends exactly at the budget, byte-identical to charging one
-//     evaluation at a time.
+//     evaluation at a time. Its results are a view of a buffer the
+//     evaluator owns, valid until the next evaluate_* call: read them
+//     before calling again.
 // evaluate_index is a one-element evaluate_batch, and each call sends
 // the backend one evaluate_batch at most: the call's first-occurrence
 // misses. In a service session that is the whole stack: tuner, this
@@ -44,7 +51,6 @@
 #include <limits>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/backend.hpp"
@@ -68,12 +74,14 @@ class CachingEvaluator {
   /// known to hold every valid configuration (see above).
   double evaluate_index(ConfigIndex index);
 
-  /// Evaluates a batch of configurations; results align with `indices`.
+  /// Evaluates a batch of configurations; results align with `indices`
+  /// and stay valid until the next evaluate_* call on this evaluator.
   /// Distinct cache misses are evaluated through one backend batch and
   /// charged in first-occurrence order;
   /// hits and within-batch duplicates are free. Throws BudgetExhausted
-  /// after recording as many misses as still fit the budget.
-  std::vector<double> evaluate_batch(std::span<const ConfigIndex> indices);
+  /// after recording as many misses as still fit the budget; a throwing
+  /// backend leaves memo and trace as they were.
+  std::span<const double> evaluate_batch(std::span<const ConfigIndex> indices);
 
   [[nodiscard]] const SearchSpace& space() const noexcept {
     return backend_->space();
@@ -110,6 +118,21 @@ class CachingEvaluator {
   }
 
  private:
+  /// One memo slot: a traced index and its position in trace_.
+  struct MemoSlot {
+    ConfigIndex index;
+    std::size_t position;
+  };
+  /// Marks an empty slot. No index reaches it: an index lies below the
+  /// space's cardinality, itself a ConfigIndex.
+  static constexpr ConfigIndex kEmptySlot = ~ConfigIndex{0};
+
+  /// The slot holding `index`, or the empty slot where it would go.
+  [[nodiscard]] MemoSlot& probe(ConfigIndex index) noexcept;
+  /// Grows the memo until `entries` fit at half load, re-entering the
+  /// trace.
+  void reserve_memo(std::size_t entries);
+
   /// Resolves `misses` through the shared cross-session cache: claims
   /// every miss first (non-blocking), evaluates + publishes the claimed
   /// ones through the backend, then waits for the pending ones.
@@ -130,8 +153,13 @@ class CachingEvaluator {
   std::size_t idle_calls_ = 0;  // consecutive calls that traced nothing
   EvaluationHooks hooks_;
   bool cancelled_ = false;
-  std::unordered_map<ConfigIndex, double> memo_;  // index -> objective
+  std::vector<MemoSlot> memo_;  // power-of-two size, linear probing
+  int memo_shift_ = 64;         // 64 - log2(memo_.size())
   std::vector<TraceEntry> trace_;
+  // Per-call buffers, reused so that a call allocates only for misses.
+  std::vector<ConfigIndex> misses_;
+  std::vector<std::size_t> positions_;  // trace position per batch slot
+  std::vector<double> results_;
   /// A sequential tuner's consecutive one-config batches, traced as one
   /// span; a larger batch, or the end of the session, closes it.
   obs::SpanRun one_config_run_{"backend.batch", "configs=1 batches="};

@@ -74,11 +74,10 @@ Config ParamSpace::config_at(ConfigIndex index) const {
 void ParamSpace::decode_into(ConfigIndex index, Config& out) const {
   BAT_EXPECTS(index < cardinality_);
   out.resize(params_.size());
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    const auto radix = static_cast<ConfigIndex>(params_[i].cardinality());
-    const ConfigIndex digit = (index / strides_[i]) % radix;
-    out[i] = params_[i].values()[static_cast<std::size_t>(digit)];
-  }
+  for_each_digit(
+      index, params_.size(),
+      [&](std::size_t p) { return params_[p].cardinality(); },
+      [&](std::size_t p, std::size_t d) { out[p] = params_[p].values()[d]; });
 }
 
 ConfigIndex ParamSpace::index_of_config(const Config& config) const {

@@ -20,6 +20,21 @@
 
 namespace bat::core {
 
+/// The mixed-radix decode every index-to-configuration path shares:
+/// calls digit(p, d) with the value ordinal d of each parameter p of
+/// `index`, last parameter first, where radix(p) is the number of
+/// values of parameter p. One division per digit: `%` and `/` on the
+/// same operands compile to one instruction.
+template <typename Radix, typename Digit>
+void for_each_digit(ConfigIndex index, std::size_t num_params, Radix&& radix,
+                    Digit&& digit) {
+  for (std::size_t p = num_params; p-- > 0;) {
+    const auto r = static_cast<ConfigIndex>(radix(p));
+    digit(p, static_cast<std::size_t>(index % r));
+    index /= r;
+  }
+}
+
 class ParamSpace {
  public:
   ParamSpace() = default;

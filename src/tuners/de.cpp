@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 
 namespace bat::tuners {
 
@@ -33,12 +34,13 @@ void DifferentialEvolution::optimize(core::CachingEvaluator& evaluator,
   // One generation: trials[i] competes with population[i]; batch holds
   // the constraint-valid trials to evaluate and slots maps each member to
   // its trial's batch slot (kInvalidSlot for a constraint violation).
-  std::vector<std::vector<double>> trials;
+  // Every generation overwrites every trial coordinate, so the trials
+  // are allocated once, as copies of the first generation.
+  std::vector<std::vector<double>> trials = population;
   std::vector<core::ConfigIndex> batch;
   std::vector<std::size_t> slots;
 
   const auto breed = [&] {
-    trials.assign(n, std::vector<double>(dims));
     batch.clear();
     slots.assign(n, kInvalidSlot);
     for (std::size_t i = 0; i < n; ++i) {
@@ -67,7 +69,7 @@ void DifferentialEvolution::optimize(core::CachingEvaluator& evaluator,
   };
 
   // Keeps each trial that scores no worse than its member.
-  const auto select = [&](const std::vector<double>& objectives) {
+  const auto select = [&](std::span<const double> objectives) {
     for (std::size_t i = 0; i < n; ++i) {
       const double obj =
           slots[i] == kInvalidSlot ? kInf : objectives[slots[i]];
@@ -80,7 +82,6 @@ void DifferentialEvolution::optimize(core::CachingEvaluator& evaluator,
 
   // The first generation is the initial population itself (valid by
   // construction); selection keeps every member (obj <= +inf).
-  trials = population;
   for (std::size_t i = 0; i < n; ++i) {
     slots.push_back(batch.size());
     batch.push_back(snap(compiled, population[i]));

@@ -1,7 +1,6 @@
 #include "tuners/tuner.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "common/contracts.hpp"
@@ -24,7 +23,7 @@ void Tuner::run(core::CachingEvaluator& evaluator, common::Rng& rng) {
   }
 }
 
-std::vector<double> evaluate_generation(
+std::span<const double> evaluate_generation(
     core::CachingEvaluator& evaluator, std::span<const core::ConfigIndex> batch,
     std::size_t& stalled) {
   constexpr std::size_t kMaxStallRounds = 128;
@@ -32,7 +31,7 @@ std::vector<double> evaluate_generation(
     throw core::BudgetExhausted();
   }
   const std::size_t before = evaluator.evaluations();
-  auto objectives = evaluator.evaluate_batch(batch);
+  const auto objectives = evaluator.evaluate_batch(batch);
   stalled = evaluator.evaluations() == before ? stalled + 1 : 0;
   return objectives;
 }
@@ -43,9 +42,14 @@ core::ConfigIndex snap(const core::CompiledSpace& compiled,
   core::ConfigIndex index = 0;
   for (std::size_t p = 0; p < position.size(); ++p) {
     const auto hi = static_cast<double>(compiled.radix(p) - 1);
-    const double clamped = std::clamp(position[p], 0.0, hi);
-    index += static_cast<core::ConfigIndex>(std::llround(clamped)) *
-             compiled.stride(p);
+    // Clamped into [0, hi] (a NaN to 0, so the cast below is defined),
+    // then rounded as std::llround rounds there, without the libm call:
+    // the fraction of a double is exact, and ties round up.
+    const double clamped = position[p] > 0.0 ? std::min(position[p], hi) : 0.0;
+    const auto whole = static_cast<core::ConfigIndex>(clamped);
+    const core::ConfigIndex digit =
+        whole + (clamped - static_cast<double>(whole) >= 0.5 ? 1 : 0);
+    index += digit * compiled.stride(p);
   }
   return index;
 }

@@ -12,7 +12,9 @@
 // Single-point tuners call evaluator.evaluate_index(index); population
 // tuners (random, genetic, pso, de) evaluate each generation through
 // evaluate_generation(), which also ends a run whose generations have
-// stopped adding to the trace.
+// stopped adding to the trace. Its results are a view of the
+// evaluator's buffer, so a generation's objectives are consumed before
+// the next one is evaluated; a hit allocates nothing on the way.
 //
 // Runs stop exactly at the evaluation budget, and no tuner knows (or
 // cares) whether measurements are computed live or replayed from a
@@ -58,12 +60,14 @@ class Tuner {
 };
 
 /// Evaluates one generation of a population tuner; results align with
-/// `batch`. `stalled` counts the caller's consecutive generations that
-/// added nothing to the trace (start it at 0). Throws BudgetExhausted
-/// instead of evaluating once the evaluator is exhausted or after 128
-/// such generations: a converged population can keep proposing cached
+/// `batch` and are the evaluator's own buffer, valid until its next
+/// evaluate_* call: read them before evaluating again. `stalled`
+/// counts the caller's consecutive generations that added nothing to
+/// the trace (start it at 0). Throws BudgetExhausted instead of
+/// evaluating once the evaluator is exhausted or after 128 such
+/// generations: a converged population can keep proposing cached
 /// configurations for ever without spending budget.
-[[nodiscard]] std::vector<double> evaluate_generation(
+[[nodiscard]] std::span<const double> evaluate_generation(
     core::CachingEvaluator& evaluator, std::span<const core::ConfigIndex> batch,
     std::size_t& stalled);
 

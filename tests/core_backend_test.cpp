@@ -420,6 +420,37 @@ TEST(CachingEvaluator, BackendSeesOnlyFirstOccurrenceMissesOneBatchPerCall) {
   }
 }
 
+// A failed call charges nothing and leaves no memo entry behind: the
+// same call later sends the same misses again, and its repeated miss
+// and its hits resolve to the right trace entries.
+TEST(CachingEvaluator, ThrowingBackendLeavesMemoAndTraceAsTheyWere) {
+  const auto bench = kernels::make("pnpoly");
+  const auto d = distinct_indices(*bench, 64, 9);
+  ASSERT_GE(d.size(), 6u);
+  RecordingBackend backend(*bench);
+  CachingEvaluator eval(backend, 10);
+  (void)eval.evaluate_batch(std::vector<ConfigIndex>{d[0], d[1]});
+
+  const std::vector<ConfigIndex> mixed{d[2], d[0], d[3], d[2], d[4], d[1]};
+  backend.fail = true;
+  EXPECT_THROW((void)eval.evaluate_batch(mixed), std::runtime_error);
+  EXPECT_EQ(eval.evaluations(), 2u);
+  backend.fail = false;
+  const auto results = eval.evaluate_batch(mixed);
+  ASSERT_EQ(backend.batches.size(), 3u);
+  EXPECT_EQ(backend.batches[1], (std::vector<ConfigIndex>{d[2], d[3], d[4]}));
+  EXPECT_EQ(backend.batches[2], backend.batches[1]);
+  ASSERT_EQ(eval.evaluations(), 5u);
+  EXPECT_EQ(eval.trace()[2].index, d[2]);
+  EXPECT_EQ(eval.trace()[4].index, d[4]);
+  EXPECT_EQ(results[0], eval.trace()[2].objective);
+  EXPECT_EQ(results[3], eval.trace()[2].objective);
+  EXPECT_EQ(results[1], eval.trace()[0].objective);
+  EXPECT_EQ(results[5], eval.trace()[1].objective);
+  (void)eval.evaluate_index(d[5]);
+  EXPECT_EQ(eval.evaluations(), 6u);
+}
+
 // A backend that throws mid-session must not strand its shared-cache
 // claims: the evaluator abandons every claim it owned, and the next
 // session evaluates those configurations itself.

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -300,6 +302,64 @@ TEST(AllTuners, EndBelowABudgetLargerThanTheValidSet) {
     EXPECT_EQ(run.trace.size(), entries) << name;
     EXPECT_FALSE(run.cancelled) << name;
   }
+}
+
+/// snap as it rounded before integer arithmetic replaced the libm
+/// call, kept as its reference: each coordinate clamped into
+/// [0, radix - 1] and rounded with std::llround.
+core::ConfigIndex llround_snap(const core::CompiledSpace& compiled,
+                               const std::vector<double>& position) {
+  core::ConfigIndex index = 0;
+  for (std::size_t p = 0; p < position.size(); ++p) {
+    const auto hi = static_cast<double>(compiled.radix(p) - 1);
+    index += static_cast<core::ConfigIndex>(
+                 std::llround(std::clamp(position[p], 0.0, hi))) *
+             compiled.stride(p);
+  }
+  return index;
+}
+
+TEST(Snap, RoundsEveryCoordinateAsLlroundOfTheClampedValue) {
+  // Every digit d of every parameter of every paper kernel, probed at
+  // the ties d +- 0.5, the doubles next to them on both sides, d itself
+  // and out-of-range coordinates; the other coordinates sit off-grid.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::size_t probes = 0;
+  std::size_t mismatches = 0;
+  std::ostringstream first;
+  for (const auto& name : kernels::paper_benchmark_names()) {
+    const auto bench = kernels::make(name);
+    const auto& compiled = bench->space().compiled();
+    std::vector<double> position(compiled.num_params());
+    for (std::size_t q = 0; q < position.size(); ++q) {
+      position[q] = static_cast<double>(compiled.radix(q)) / 2.0 + 0.25;
+    }
+    for (std::size_t p = 0; p < position.size(); ++p) {
+      const auto top = static_cast<double>(compiled.radix(p) - 1);
+      std::vector<double> coordinates = {-kInf, -1e300, -3.0, -1.0,
+                                         top + 1.0, top + 7.5, 1e300, kInf};
+      for (double d = 0.0; d <= top; d += 1.0) {
+        coordinates.push_back(d);
+        for (const double tie : {d - 0.5, d + 0.5}) {
+          coordinates.push_back(tie);
+          coordinates.push_back(std::nextafter(tie, -kInf));
+          coordinates.push_back(std::nextafter(tie, kInf));
+        }
+      }
+      const double saved = position[p];
+      for (const double c : coordinates) {
+        position[p] = c;
+        ++probes;
+        if (snap(compiled, position) != llround_snap(compiled, position) &&
+            mismatches++ == 0) {
+          first << name << " parameter " << p << " at " << std::hexfloat << c;
+        }
+      }
+      position[p] = saved;
+    }
+  }
+  EXPECT_GT(probes, 1000u);
+  EXPECT_EQ(mismatches, 0u) << "first: " << first.str();
 }
 
 TEST(RunTuner, TraceObjectivesMatchBenchmark) {

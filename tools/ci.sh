@@ -82,11 +82,15 @@ SAN_DIR="${BUILD_DIR}-asan"
 # tuners_test drives every tuner's digit and stride arithmetic (pso/de
 # snapping, genetic crossover and mutation), where a digit out of range
 # would index past a value table.
+# core_evaluator_memo_test grows the evaluator's open-addressed memo and
+# rolls back a failed batch's entries: a stale slot or position reads
+# past the trace.
 SAN_TESTS=(core_backend_test core_dataset_evaluator_test
            common_thread_pool_test core_compiled_space_test
            io_dataset_test common_json_test net_http_test
            io_journal_test service_recovery_test obs_metrics_test
-           api_http_test ml_test analysis_test tuners_test)
+           api_http_test ml_test analysis_test tuners_test
+           core_evaluator_memo_test)
 cmake -B "${SAN_DIR}" -S . -DCMAKE_BUILD_TYPE=Debug -DBAT_SANITIZE=ON
 cmake --build "${SAN_DIR}" -j "${JOBS}" --target "${SAN_TESTS[@]}"
 for t in "${SAN_TESTS[@]}"; do
@@ -491,7 +495,7 @@ if echo "${SAN_TARGETS}" \
     | grep -q '^\.\.\. micro_framework\|^micro_framework'; then
   cmake --build "${SAN_DIR}" -j "${JOBS}" --target micro_framework
   "${SAN_DIR}/micro_framework" \
-      --benchmark_filter='Neighbors|FfgBuild|BatchEvaluateReplay|GbdtScorePool|HttpParseRequest|SessionResultToJson|ApiGetFinishedSession' \
+      --benchmark_filter='Neighbors|FfgBuild|BatchEvaluateReplay|GbdtScorePool|HttpParseRequest|SessionResultToJson|ApiGetFinishedSession|TunerSession' \
       --benchmark_min_time=0.05
 
   echo "=== io perf data points (BENCH_io.json) ==="
